@@ -8,16 +8,18 @@ interchange and a command-line front end.
 
 from .bruteforce import enumerate_rotation_maps
 from .canonical import (
+    CanonicalForm,
     are_isomorphic,
     automorphism_count,
     canonical_code,
+    canonical_form,
     is_chiral,
-    rooted_code,
 )
 from .embedding import (
     EmbeddingSearchOutcome,
     FiveGonalWitness,
     HypercubeEmbedding,
+    InvariantError,
     NonBipartiteError,
     RecognitionFailure,
     RecognitionResult,
@@ -31,7 +33,13 @@ from .embedding import (
     theta_classes,
     verify_scale_embedding,
 )
-from .generator import FILTER_NAMES, GenSpec, GenerationResult, generate_q6
+from .generator import (
+    FILTER_NAMES,
+    CheckpointError,
+    GenerationResult,
+    GenSpec,
+    generate_q6,
+)
 from .goldberg import goldberg_coxeter_cube
 from .named import make_named, named_graph_names
 from .planar_code import (
@@ -55,7 +63,6 @@ from .plane_graph import (
     is_three_connected,
     is_three_valent,
     mirror,
-    trace_faces,
     truncate,
 )
 from .reports import (

@@ -1,18 +1,55 @@
-"""Canonical codes and isomorphism tools for plane graphs.
+"""Canonical codes, automorphism counts and chirality of plane graphs.
 
-The code of a rooted oriented map is produced by a breadth-first relabeling
-of its darts from the root; the canonical code is the lexicographic minimum
-over all roots (and over both orientations when reflections count as
-isomorphisms).  Two maps get equal canonical codes exactly when they are
-isomorphic, because a map isomorphism is determined by the image of a
-single dart.
+The code of a map rooted at a dart is a breadth-first relabeling of its
+darts from the root: darts are numbered in the order the search meets them,
+exploring sigma then alpha from each dart, and the code lists, for each
+dart in that order, the numbers of its sigma- and alpha-images.  The code
+determines the rooted map, so two rooted maps get equal codes exactly when
+an isomorphism carries one root to the other.
+
+``canonical_form`` makes one pass that yields the canonical code, the order
+of the automorphism group and chirality together:
+
+* **Roots.**  Only darts on a face of minimum size are tried, in each
+  orientation (the mirror orientation uses the inverse rotation, and a dart
+  d lies there on a face as large as the face of d ^ 1 in the original).
+  Isomorphisms and reflections preserve face sizes, so this root set is
+  carried onto itself and the minimum code over it is still an invariant of
+  the isomorphism class.  The canonical code is that minimum.
+* **Early abort.**  Each root's code is compared with the best so far while
+  it is being built, and the root is dropped as soon as its prefix is
+  larger.  A root that ties runs to the end, so that it is counted.
+* **|Aut| is the number of minimal roots.**  Fix one minimal root r.  For
+  every root with the same code there is exactly one isomorphism carrying
+  r to it, and that is an automorphism (orientation-reversing when the two
+  roots lie in different orientations).  Conversely every automorphism
+  carries r to a root of the same code, because the root set is invariant,
+  and an automorphism is fixed by the image of a single dart.
+* **Chirality.**  The map is chiral when it has no orientation-reversing
+  automorphism, that is when all minimal roots lie in one orientation.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .plane_graph import PlaneGraph
+
+
+class CanonicalForm(NamedTuple):
+    """Result of one canonical pass over a map.
+
+    code      -- isomorphism-class key, equal exactly for isomorphic maps
+    aut_order -- order of the automorphism group
+    chiral    -- no orientation-reversing automorphism exists; None when the
+                 pass left reflections out
+    """
+
+    code: bytes
+    aut_order: int
+    chiral: bool | None
 
 
 def _sigma_inverse(sigma: tuple[int, ...]) -> list[int]:
@@ -22,76 +59,89 @@ def _sigma_inverse(sigma: tuple[int, ...]) -> list[int]:
     return inv
 
 
-def _rooted_ints(sigma, root: int) -> list[int]:
-    """BFS dart relabeling from root; neighbors explored as (sigma, alpha)."""
-    nd = len(sigma)
-    pos = [-1] * nd
-    order = [root]
+def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
+    """BFS code from root, or None as soon as a prefix exceeds best."""
+    pos = [-1] * len(sigma)
     pos[root] = 0
+    order = [root]
+    out = []
+    i = 0
     for d in order:
         s = sigma[d]
-        if pos[s] < 0:
-            pos[s] = len(order)
+        ps = pos[s]
+        if ps < 0:
+            ps = pos[s] = len(order)
             order.append(s)
         a = d ^ 1
-        if pos[a] < 0:
-            pos[a] = len(order)
+        pa = pos[a]
+        if pa < 0:
+            pa = pos[a] = len(order)
             order.append(a)
-    out = []
-    for d in order:
-        out.append(pos[sigma[d]])
-        out.append(pos[d ^ 1])
+        out.append(ps)
+        out.append(pa)
+        if best is not None:
+            b = best[i]
+            if ps != b:
+                if ps > b:
+                    return None
+                best = None  # strictly smaller from here on
+            else:
+                b = best[i + 1]
+                if pa != b:
+                    if pa > b:
+                        return None
+                    best = None
+            i += 2
     return out
 
 
-def rooted_code(g: PlaneGraph, root: int, mirrored: bool = False) -> bytes:
-    """Code of the map rooted at one dart, in one orientation."""
-    sigma = _sigma_inverse(g.sigma) if mirrored else g.sigma
-    return np.asarray(_rooted_ints(sigma, root), dtype=">u2").tobytes()
+def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> CanonicalForm:
+    """Canonical code, automorphism count and chirality in one pass."""
+    sigma = g.sigma
+    size = [0] * len(sigma)
+    for f in g.faces:
+        for d in f.darts:
+            size[d] = f.size
+    fmin = min(size)
+    orientations = [(sigma, [d for d, s in enumerate(size) if s == fmin])]
+    if include_reflection:
+        orientations.append(
+            (_sigma_inverse(sigma), [d for d in range(len(sigma)) if size[d ^ 1] == fmin])
+        )
+    best = None
+    count = 0
+    sides = set()
+    for side, (table, roots) in enumerate(orientations):
+        for root in roots:
+            code = _rooted_ints(table, root, best)
+            if code is None:
+                continue
+            if code == best:
+                count += 1
+                sides.add(side)
+            else:
+                best, count, sides = code, 1, {side}
+    return CanonicalForm(
+        code=np.asarray(best, dtype=">u2").tobytes(),
+        aut_order=count,
+        chiral=len(sides) == 1 if include_reflection else None,
+    )
 
 
 def canonical_code(g: PlaneGraph, include_reflection: bool = True) -> bytes:
-    """Isomorphism-class key: minimum rooted code over all roots/orientations."""
-    best = None
-    tables = [g.sigma]
-    if include_reflection:
-        tables.append(tuple(_sigma_inverse(g.sigma)))
-    for sigma in tables:
-        for root in range(len(sigma)):
-            code = np.asarray(_rooted_ints(sigma, root), dtype=">u2").tobytes()
-            if best is None or code < best:
-                best = code
-    return best
+    """Isomorphism-class key: minimum rooted code over the canonical roots."""
+    return canonical_form(g, include_reflection).code
 
 
 def automorphism_count(g: PlaneGraph, include_reflection: bool = True) -> int:
     """Order of the automorphism group (orientation-reversing maps included
-    when include_reflection is set).  Map automorphisms act freely on darts,
-    so the order equals the number of minimum-achieving roots."""
-    best = None
-    count = 0
-    tables = [g.sigma]
-    if include_reflection:
-        tables.append(tuple(_sigma_inverse(g.sigma)))
-    for sigma in tables:
-        for root in range(len(sigma)):
-            code = np.asarray(_rooted_ints(sigma, root), dtype=">u2").tobytes()
-            if best is None or code < best:
-                best = code
-                count = 1
-            elif code == best:
-                count += 1
-    return count
+    when include_reflection is set)."""
+    return canonical_form(g, include_reflection).aut_order
 
 
 def is_chiral(g: PlaneGraph) -> bool:
     """True when the map admits no orientation-reversing automorphism."""
-    plus = canonical_code(g, include_reflection=False)
-    minus_graph = PlaneGraph(
-        sigma=tuple(_sigma_inverse(g.sigma)), vertex_of=g.vertex_of
-    )
-    minus = canonical_code(minus_graph, include_reflection=False)
-    return plus != minus
+    return canonical_form(g).chiral
 
 
 def _try_dart_map(gs, hs, root: int) -> bool:

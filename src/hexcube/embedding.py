@@ -21,6 +21,11 @@ class NonBipartiteError(ValueError):
     """Edge classes are only defined here for bipartite graphs."""
 
 
+class InvariantError(RuntimeError):
+    """Two results that theory ties together disagree: an internal fault,
+    never a property of the input graph."""
+
+
 @dataclass(frozen=True)
 class ThetaClasses:
     """Partition of the edges into parallelism classes.
@@ -457,7 +462,8 @@ def search_scale_embedding(
         phi[v] = frozenset(b for b in range(m) if images[i] >> b & 1)
     emb = HypercubeEmbedding(m=m, scale=scale, phi=tuple(phi))
     ok, bad = verify_scale_embedding(g, emb)
-    assert ok, f"search returned a non-embedding, pair {bad}"
+    if not ok:
+        raise InvariantError(f"search returned a non-embedding, pair {bad}")
     return EmbeddingSearchOutcome(status="found", embedding=emb, placements=placements)
 
 

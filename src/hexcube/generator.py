@@ -36,6 +36,14 @@ _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 
 FILTER_NAMES = ("bipartite", "zone_clean", "partial_cube", "five_gonal")
 
+# Bumped whenever the checkpoint layout or the canonical code bytes that key
+# its ``found`` classes change; a checkpoint of another version is refused.
+CHECKPOINT_VERSION = 2
+
+
+class CheckpointError(ValueError):
+    """A checkpoint was written by another format version or another spec."""
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -270,7 +278,8 @@ def generate_q6(
     With a budget the run may stop early; the result is then flagged
     truncated and must not be treated as a complete enumeration.  A
     checkpoint path makes long runs resumable (state is saved after each
-    level of the search).
+    level of the search); resuming raises CheckpointError when the file was
+    written by another format version or for another spec.
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
@@ -315,6 +324,7 @@ def generate_q6(
 
 def _save_checkpoint(path, spec, level, frontier, found) -> None:
     payload = {
+        "version": CHECKPOINT_VERSION,
         "spec": (spec.q, spec.n_max),
         "level": level,
         "frontier": frontier,
@@ -330,6 +340,14 @@ def _load_checkpoint(path, spec):
             payload = pickle.load(fp)
     except FileNotFoundError:
         return None
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint format {version}, expected {CHECKPOINT_VERSION}"
+        )
     if payload["spec"] != (spec.q, spec.n_max):
-        return None
+        raise CheckpointError(
+            f"{path}: checkpoint is for (q, n_max) = {payload['spec']},"
+            f" not {(spec.q, spec.n_max)}"
+        )
     return payload["level"], payload["frontier"], payload["found"]

@@ -287,11 +287,6 @@ class PlaneGraph:
 # -- face-level predicates ----------------------------------------------
 
 
-def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
-    """The faces of the map (cached on the instance)."""
-    return g.faces
-
-
 def face_vector(g: PlaneGraph) -> Counter:
     """Multiset of face sizes, e.g. Counter({4: 6}) for the cube."""
     return Counter(f.size for f in g.faces)

@@ -7,8 +7,9 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .canonical import automorphism_count, canonical_code, is_chiral
+from .canonical import canonical_code, canonical_form
 from .embedding import (
+    InvariantError,
     five_gonal_scan,
     recognize_partial_cube,
     t_embed_obstruction,
@@ -99,9 +100,10 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
         witnesses = len(all_w)
         clean = witnesses == 0
         t_obs = min(w.diameter for w in all_w) if all_w else None
+    form = canonical_form(g)
     report = CheckReport(
         n=g.n_vertices,
-        code=code_digest(canonical_code(g)),
+        code=code_digest(form.code),
         three_valent=is_three_valent(g),
         three_connected=is_three_connected(g),
         face_vector=fv,
@@ -115,13 +117,15 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
         five_gonal_witnesses=witnesses,
         five_gonal_clean=clean,
         t_obstruction=t_obs,
-        chiral=is_chiral(g),
-        aut_order=automorphism_count(g),
+        chiral=form.chiral,
+        aut_order=form.aut_order,
     )
     # internal consistency: an embedding forces clean zones and no witnesses
     if report.embeddable:
-        assert report.zone_clean is None or report.zone_clean
-        assert report.five_gonal_clean
+        if report.zone_clean is False:
+            raise InvariantError("embeddable graph with a self-intersecting zone")
+        if not report.five_gonal_clean:
+            raise InvariantError("embeddable graph violates a pentagonal inequality")
     return report
 
 
@@ -272,13 +276,14 @@ def reproduce_zone_computation(
             report.embeddable_subset_ok = False
         if clean:
             survivor_codes.add(code)
+            form = canonical_form(g)
             report.survivors.append(
                 {
                     "n": g.n_vertices,
                     "code": code_digest(code),
                     "name": names.get(code),
-                    "aut_order": automorphism_count(g),
-                    "chiral": is_chiral(g),
+                    "aut_order": form.aut_order,
+                    "chiral": form.chiral,
                     "embeddable": emb,
                     "three_connected": is_three_connected(g),
                 }

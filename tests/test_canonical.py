@@ -1,28 +1,52 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcube import (
     PlaneGraph,
     are_isomorphic,
     automorphism_count,
     canonical_code,
+    canonical_form,
+    enumerate_rotation_maps,
+    goldberg_coxeter_cube,
     is_chiral,
     mirror,
 )
+from hexcube.canonical import _try_dart_map
+
+# GC(k,l) of the cube with k^2 + kl + l^2 <= 7; GC(2,1) is chiral
+SMALL_GC = [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+@pytest.fixture(scope="module")
+def symmetry_cases(named_graphs):
+    cases = dict(named_graphs)
+    for k, l in SMALL_GC:
+        cases[f"GC({k},{l})"] = goldberg_coxeter_cube(k, l)
+    return cases
+
+
+def relabelled(g: PlaneGraph, perm, shifts) -> PlaneGraph:
+    """Vertex v becomes perm[v] and its neighbor list is rotated by
+    shifts[v]: the same map under new labels."""
+    rotations = [None] * g.n_vertices
+    for v, nbrs in enumerate(g.neighbors):
+        k = shifts[v] % len(nbrs)
+        rotations[perm[v]] = [perm[w] for w in nbrs[k:] + nbrs[:k]]
+    return PlaneGraph.from_rotations(rotations)
 
 
 def shuffled_copy(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
     """Relabel vertices and rotate each neighbor list: same map, new labels."""
     perm = list(range(g.n_vertices))
     rng.shuffle(perm)
-    rotations = [None] * g.n_vertices
-    for v, nbrs in enumerate(g.neighbors):
-        k = rng.randrange(len(nbrs))
-        rotations[perm[v]] = [perm[w] for w in nbrs[k:] + nbrs[:k]]
-    return PlaneGraph.from_rotations(rotations)
+    return relabelled(g, perm, [rng.randrange(6) for _ in perm])
 
 
 @pytest.mark.parametrize("name", ["cube", "prism(6)", "truncated_octahedron", "tetrahedron"])
@@ -78,3 +102,45 @@ def test_automorphism_orders(named_graphs):
 def test_named_graphs_achiral(named_graphs):
     for name, g in named_graphs.items():
         assert not is_chiral(g), name
+
+
+def test_partition_matches_explicit_isomorphism():
+    """Equal codes exactly for isomorphic maps, against the propagation
+    search, over every rooted 4_n with n <= 16 plus relabelled and mirrored
+    copies, with and without reflections."""
+    rng = random.Random(5)
+    maps = []
+    for g in enumerate_rotation_maps(4, 16):
+        maps += [g, shuffled_copy(g, rng), mirror(shuffled_copy(g, rng))]
+    for reflect in (True, False):
+        codes = [canonical_code(g, include_reflection=reflect) for g in maps]
+        for (g, cg), (h, ch) in itertools.combinations(zip(maps, codes), 2):
+            assert (cg == ch) == are_isomorphic(g, h, include_reflection=reflect)
+
+
+def test_symmetry_matches_dart_maps(symmetry_cases):
+    """|Aut| is the number of darts that dart 0 extends to an automorphism
+    from, over both orientations; chiral means none lands in the mirror."""
+    for name, g0 in symmetry_cases.items():
+        for g in (g0, mirror(g0)):
+            darts = range(g.dart_count)
+            same = sum(_try_dart_map(g.sigma, g.sigma, r) for r in darts)
+            flipped = sum(_try_dart_map(g.sigma, mirror(g).sigma, r) for r in darts)
+            assert automorphism_count(g) == same + flipped, name
+            assert automorphism_count(g, include_reflection=False) == same, name
+            assert is_chiral(g) == (flipped == 0), name
+    assert is_chiral(symmetry_cases["GC(2,1)"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_form_invariant_under_relabeling_and_mirror(symmetry_cases, data):
+    name = data.draw(st.sampled_from(sorted(symmetry_cases)), label="graph")
+    g = symmetry_cases[name]
+    n = g.n_vertices
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    shifts = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n), label="shifts")
+    h = relabelled(g, perm, shifts)
+    form = canonical_form(g)
+    assert canonical_form(h) == form
+    assert canonical_form(mirror(h)) == form

@@ -3,11 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import hexcube.embedding
+import hexcube.reports
 from hexcube import (
+    FiveGonalWitness,
     HypercubeEmbedding,
+    InvariantError,
     NonBipartiteError,
     PlaneGraph,
+    Zone,
     all_pairs_distances,
+    check_graph,
     five_gonal_scan,
     is_five_gonal,
     recognize_partial_cube,
@@ -189,3 +195,23 @@ def test_embedding_json_round_shape(named_graphs):
     js = emb.to_json()
     assert js["m"] == 3 and js["scale"] == 1
     assert sorted(map(len, js["phi"])) == sorted(len(s) for s in emb.phi)
+
+
+def test_invariant_error_on_contradicting_predicates(monkeypatch, named_graphs):
+    """The cube embeds, so a 5-gonal witness, a self-intersecting zone or a
+    failed verification can only come from a fault; each must raise."""
+    cube = named_graphs["cube"]
+    witness = FiveGonalWitness(a=0, b=1, x=2, y=3, z=4, deficit=-1, diameter=3)
+    with monkeypatch.context() as m:
+        m.setattr(hexcube.reports, "five_gonal_scan", lambda dist, stop_at_first=False: [witness])
+        with pytest.raises(InvariantError, match="pentagonal"):
+            check_graph(cube)
+    with monkeypatch.context() as m:
+        bad = Zone(crossings=(), edges=frozenset(), self_intersecting=True)
+        m.setattr(hexcube.reports, "trace_zones", lambda g: (bad,))
+        with pytest.raises(InvariantError, match="zone"):
+            check_graph(cube)
+    with monkeypatch.context() as m:
+        m.setattr(hexcube.embedding, "verify_scale_embedding", lambda g, emb: (False, (0, 1)))
+        with pytest.raises(InvariantError, match="non-embedding"):
+            search_scale_embedding(cube, 3, scale=1)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from hexcube import (
+    CheckpointError,
     GenSpec,
     all_pairs_distances,
     canonical_code,
@@ -113,6 +116,23 @@ def test_checkpoint_resume(tmp_path):
     resumed = generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=path)
     fresh = generate_q6(GenSpec(q=4, n_max=14))
     assert resumed.codes == fresh.codes
+
+
+def test_checkpoint_version_mismatch(tmp_path):
+    path = tmp_path / "ckpt.pickle"
+    generate_q6(GenSpec(q=4, n_max=12), checkpoint_path=str(path))
+    payload = pickle.loads(path.read_bytes())
+    del payload["version"]  # the layout written before versioning
+    path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(CheckpointError, match="format"):
+        generate_q6(GenSpec(q=4, n_max=12), checkpoint_path=str(path))
+
+
+def test_checkpoint_spec_mismatch(tmp_path):
+    path = str(tmp_path / "ckpt.pickle")
+    generate_q6(GenSpec(q=4, n_max=12), checkpoint_path=path)
+    with pytest.raises(CheckpointError, match="n_max"):
+        generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=path)
 
 
 def test_spec_validation():
