@@ -46,7 +46,7 @@ def shuffled_copy(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
     """Relabel vertices and rotate each neighbor list: same map, new labels."""
     perm = list(range(g.n_vertices))
     rng.shuffle(perm)
-    return relabelled(g, perm, [rng.randrange(6) for _ in perm])
+    return relabelled(g, perm, [rng.randrange(len(nbrs)) for nbrs in g.neighbors])
 
 
 @pytest.mark.parametrize("name", ["cube", "prism(6)", "truncated_octahedron", "tetrahedron"])
