@@ -15,7 +15,7 @@ import sys
 from typing import BinaryIO
 
 from .embedding import search_halfcube_embedding
-from .generator import FILTER_NAMES, GenSpec, generate_q6
+from .generator import FILTER_NAMES, FILTERS, GenSpec, generate_q6
 from .goldberg import goldberg_coxeter_cube
 from .named import make_named, named_graph_names
 from .planar_code import (
@@ -25,7 +25,7 @@ from .planar_code import (
     to_dot,
     write_planar_code,
 )
-from .plane_graph import MapError, PlaneGraph, all_pairs_distances, bipartition
+from .plane_graph import MapError, PlaneGraph
 from .reports import (
     check_many,
     code_digest,
@@ -36,8 +36,6 @@ from .reports import (
 )
 from .zones import zone_report
 from .canonical import canonical_code
-from .embedding import five_gonal_scan, recognize_partial_cube
-from .zones import zone_clean
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -87,18 +85,7 @@ def cmd_generate(args) -> int:
     result = generate_q6(spec, budget_seconds=args.budget)
     graphs = result.graphs
     for name in spec.filters:
-        if name == "bipartite":
-            graphs = [g for g in graphs if bipartition(g)]
-        elif name == "zone_clean":
-            graphs = [g for g in graphs if zone_clean(g)]
-        elif name == "partial_cube":
-            graphs = [g for g in graphs if recognize_partial_cube(g)]
-        elif name == "five_gonal":
-            graphs = [
-                g
-                for g in graphs
-                if not five_gonal_scan(all_pairs_distances(g), stop_at_first=True)
-            ]
+        graphs = [g for g in graphs if FILTERS[name](g)]
     out = _open_out(args.output)
     try:
         _emit_graphs(graphs, args.format, out)

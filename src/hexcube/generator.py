@@ -15,34 +15,55 @@ history.  Pruning is exact:
   * for even q, a two-coloring is maintained (all-even-faced maps are
     bipartite, and partial maps are subgraphs of their completions).
 
-States reached at the same edge count are deduplicated by a rooted
-breadth-first code, a canonical form of the partial patch; dropping a
-rooted-isomorphic duplicate cannot lose any completion.  Completed maps
-are deduplicated again by the full canonical code, which also folds the
-rooted multiplicity away.  Output order is (n, canonical code), making
-runs byte-reproducible.
+The extensions of a state therefore form a tree whose nodes are pairwise
+distinct rooted patches, so the search is a plain depth-first walk over it
+and stores no visited set.  A map with n vertices is completed at depth
+3n/2 edges, so pre-order meets the completions of each n in one fixed
+order.  The states with SPLIT_DEPTH edges, in that order, root an ordered
+list of subtrees; each subtree is the unit of work for the time budget and
+the checkpoint.  Completed maps are deduplicated by the full canonical
+code, keeping the first one met, which also folds the rooted multiplicity
+away.  Output order is (n, canonical code), making runs byte-reproducible.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .canonical import canonical_code
-from .plane_graph import MapError, PlaneGraph
+from .embedding import five_gonal_scan, recognize_partial_cube
+from .plane_graph import MapError, PlaneGraph, all_pairs_distances, bipartition, is_q6
+from .zones import zone_clean
 
 _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 
-FILTER_NAMES = ("bipartite", "zone_clean", "partial_cube", "five_gonal")
+# Edge count of the states that root the subtrees.  Shallow enough that the
+# list of roots is built in milliseconds, deep enough to give a few hundred
+# subtrees for q = 3, 4, 5 once n_max exceeds about 14.
+SPLIT_DEPTH = 20
 
-# Bumped whenever the checkpoint layout or the canonical code bytes that key
-# its ``found`` classes change; a checkpoint of another version is refused.
-CHECKPOINT_VERSION = 2
+# Predicates that `hexcube generate --filter NAME` keeps graphs by, in order.
+FILTERS: dict[str, Callable[[PlaneGraph], bool]] = {
+    "bipartite": lambda g: bool(bipartition(g)),
+    "zone_clean": zone_clean,
+    "partial_cube": lambda g: bool(recognize_partial_cube(g)),
+    "five_gonal": lambda g: not five_gonal_scan(all_pairs_distances(g), stop_at_first=True),
+}
+FILTER_NAMES = tuple(FILTERS)
+
+# Bumped whenever the checkpoint layout or the meaning of its subtree count
+# changes; a checkpoint of another version is refused.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
-    """A checkpoint was written by another format version or another spec."""
+    """A checkpoint is unreadable, malformed, or was written by another
+    format version or for another spec."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +235,13 @@ class _Growth:
         return out
 
     def rooted_key(self, state) -> bytes:
-        """Canonical form of the rooted partial patch (BFS code from dart 0)."""
+        """Canonical form of the rooted partial patch (BFS code from dart 0).
+
+        The search does not call it.  It is the oracle by which the tests
+        check that no two states of the growth tree are the same rooted
+        patch, which is why the walk needs no dedup; the benchmark tracer
+        (perfbench/spans.py) also wraps it by name.
+        """
         alpha, used, _, _, _, _ = state
         nxt = self.nxt
         nd = 3 * used
@@ -275,79 +302,143 @@ def generate_q6(
     (reflections included) of connected 3-valent plane maps with all faces
     of size q or 6 and at most n_max vertices.
 
-    With a budget the run may stop early; the result is then flagged
-    truncated and must not be treated as a complete enumeration.  A
-    checkpoint path makes long runs resumable (state is saved after each
-    level of the search); resuming raises CheckpointError when the file was
-    written by another format version or for another spec.
+    With a budget the run may stop early, between two subtrees; the result
+    is then flagged truncated and holds the classes met so far, which may
+    miss some at any n, so it must not be treated as a complete
+    enumeration.  A checkpoint path makes long runs resumable: after each
+    subtree the number of finished subtrees and the graphs found so far are
+    written there atomically.  Resuming raises CheckpointError when the
+    file is unreadable or malformed, or was written by another format
+    version or for another spec.
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
-    level = 0
-    frontier = {growth.rooted_key(growth.initial()): growth.initial()}
     found: dict[bytes, PlaneGraph] = {}
+
+    def collect(state) -> None:
+        g = growth.finish(state)
+        if g is not None:  # None: positive genus, not a plane graph
+            found.setdefault(canonical_code(g), g)
+
+    # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
+    roots = []
+    for state in _descend(growth, growth.initial(), SPLIT_DEPTH - 1):
+        if _is_complete(state):
+            collect(state)
+        else:
+            roots.append(state)
+    done = 0
     if checkpoint_path:
-        resumed = _load_checkpoint(checkpoint_path, spec)
+        resumed = _load_checkpoint(checkpoint_path, spec, len(roots))
         if resumed is not None:
-            level, frontier, found = resumed
+            done, graphs = resumed
+            for g in graphs:
+                found.setdefault(canonical_code(g), g)
     result = GenerationResult()
-    max_edges = 3 * spec.n_max // 2
-    while frontier and level < max_edges:
+    for index in range(done, len(roots)):
         if budget_seconds is not None and time.monotonic() - start_time > budget_seconds:
             result.truncated = True
             break
-        level += 1
-        next_frontier = {}
-        for state in frontier.values():
-            if state[5] >= 3 * state[1]:
-                continue  # complete; collected below
-            for child in growth.children(state):
-                if child[5] >= 3 * child[1]:
-                    g = growth.finish(child)
-                    if g is None:
-                        continue  # positive genus: not a plane graph
-                    code = canonical_code(g)
-                    if code not in found:
-                        found[code] = g
-                    continue
-                key = growth.rooted_key(child)
-                if key not in next_frontier:
-                    next_frontier[key] = child
-        frontier = next_frontier
+        for state in _descend(growth, roots[index]):
+            collect(state)
         if checkpoint_path:
-            _save_checkpoint(checkpoint_path, spec, level, frontier, found)
+            _save_checkpoint(checkpoint_path, spec, index + 1, found.values())
     ordered = sorted(found.items(), key=lambda kv: (kv[1].n_vertices, kv[0]))
     result.graphs = [g for _, g in ordered]
     result.codes = [c for c, _ in ordered]
     return result
 
 
-def _save_checkpoint(path, spec, level, frontier, found) -> None:
+def _is_complete(state) -> bool:
+    _, used, _, _, _, low = state
+    return low >= 3 * used
+
+
+def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:
+    """Yield, in depth-first pre-order, every completed descendant of root
+    and, when stop is given, every incomplete descendant stop edges below
+    root, which is not expanded further."""
+    stack = [iter(growth.children(root))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif _is_complete(state) or len(stack) == stop:
+            yield state
+        else:
+            stack.append(iter(growth.children(state)))
+
+
+def _save_checkpoint(path, spec, done, graphs) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
-        "spec": (spec.q, spec.n_max),
-        "level": level,
-        "frontier": frontier,
-        "found": found,
+        "q": spec.q,
+        "n_max": spec.n_max,
+        "done": done,
+        "graphs": [{"sigma": list(g.sigma), "vertex_of": list(g.vertex_of)} for g in graphs],
     }
-    with open(path, "wb") as fp:
-        pickle.dump(payload, fp)
+    # write beside the target and rename over it, so that an interrupted
+    # write leaves the previous checkpoint intact
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fp:
+            json.dump(payload, fp, separators=(",", ":"))
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _load_checkpoint(path, spec):
+def _load_checkpoint(path, spec, n_subtrees):
     try:
         with open(path, "rb") as fp:
-            payload = pickle.load(fp)
+            raw = fp.read()
     except FileNotFoundError:
         return None
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:  # also a pickle or truncated file
+        raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: not a JSON checkpoint")
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: checkpoint format {version}, expected {CHECKPOINT_VERSION}"
+            f"{path}: checkpoint format {version!r}, expected {CHECKPOINT_VERSION}"
         )
-    if payload["spec"] != (spec.q, spec.n_max):
+    written_for = (payload.get("q"), payload.get("n_max"))
+    if written_for != (spec.q, spec.n_max):
         raise CheckpointError(
-            f"{path}: checkpoint is for (q, n_max) = {payload['spec']},"
+            f"{path}: checkpoint is for (q, n_max) = {written_for},"
             f" not {(spec.q, spec.n_max)}"
         )
-    return payload["level"], payload["frontier"], payload["found"]
+    done = payload.get("done")
+    if type(done) is not int or not 0 <= done <= n_subtrees:
+        raise CheckpointError(f"{path}: 'done' must be an integer in 0..{n_subtrees}")
+    rows = payload.get("graphs")
+    if not isinstance(rows, list):
+        raise CheckpointError(f"{path}: 'graphs' must be a list")
+    graphs = []
+    for i, row in enumerate(rows):
+        where = f"{path}: graph {i}"
+        if not isinstance(row, dict):
+            raise CheckpointError(f"{where} is not an object")
+        sigma = _int_tuple(row.get("sigma"), f"{where} sigma")
+        vertex_of = _int_tuple(row.get("vertex_of"), f"{where} vertex_of")
+        try:
+            g = PlaneGraph(sigma=sigma, vertex_of=vertex_of)
+        except MapError as exc:
+            raise CheckpointError(f"{where}: {exc}") from exc
+        if g.n_vertices > spec.n_max or not is_q6(g, spec.q):
+            raise CheckpointError(f"{where} is not a q/6 graph within the spec")
+        graphs.append(g)
+    return done, graphs
+
+
+def _int_tuple(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise CheckpointError(f"{what} must be a list of integers")
+    return tuple(value)

@@ -44,14 +44,24 @@ def test_generate_single_json_line(capsys):
     assert row["n"] == 8
 
 
-def test_generate_with_filter(capsys):
-    code, out, _ = run(
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        # every 4_n is bipartite: the filter keeps all twelve classes
+        ("bipartite", [8, 12, 14, 16, 18, 20, 20, 20, 22, 24, 24, 24]),
+        ("zone_clean", [8, 12, 24]),
+        ("partial_cube", [8, 12, 24]),
+        ("five_gonal", [8, 12, 24]),
+    ],
+)
+def test_generate_with_filter(capsys, name, sizes):
+    code, out, err = run(
         capsys,
-        "generate", "-q", "4", "--nmax", "16", "--format", "json",
-        "--filter", "zone_clean",
+        "generate", "-q", "4", "--nmax", "24", "--format", "json", "--filter", name,
     )
     assert code == 0
-    assert [json.loads(l)["n"] for l in out.strip().splitlines()] == [8, 12]
+    assert [json.loads(l)["n"] for l in out.strip().splitlines()] == sizes
+    assert json.loads(err.strip().splitlines()[-1])["emitted"] == len(sizes)
 
 
 def test_check_named_cube(capsys):

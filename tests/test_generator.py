@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import io
+import itertools
+import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
+
+from hexcube import generator
 
 from hexcube import (
     CheckpointError,
@@ -16,6 +22,7 @@ from hexcube import (
     is_three_connected,
     make_named,
     recognize_partial_cube,
+    write_planar_code,
     zone_clean,
 )
 
@@ -110,29 +117,139 @@ def test_budget_truncation():
     assert res.truncated
 
 
+def _plc(graphs) -> bytes:
+    buf = io.BytesIO()
+    write_planar_code(graphs, buf)
+    return buf.getvalue()
+
+
+def _graph_row(g) -> dict:
+    return {"sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
+
+
+@pytest.mark.parametrize("q, n_max", [(3, 20), (4, 28), (5, 24)])
+def test_growth_states_are_distinct_patches(q, n_max):
+    """No two incomplete states of the growth tree are the same rooted
+    patch, so a dedup of the states could never drop one."""
+    growth = generator._Growth(q, n_max)
+    keys = set()
+    states = 0
+    stack = [growth.initial()]
+    while stack:
+        state = stack.pop()
+        if state[5] >= 3 * state[1]:
+            continue
+        keys.add(growth.rooted_key(state))
+        states += 1
+        stack.extend(growth.children(state))
+    assert states > 1000
+    assert len(keys) == states
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_split_depth_does_not_change_output(q, monkeypatch):
+    spec = GenSpec(q=q, n_max=24)
+    runs = []
+    for depth in (2, generator.SPLIT_DEPTH, 30):
+        monkeypatch.setattr(generator, "SPLIT_DEPTH", depth)
+        res = generate_q6(spec)
+        runs.append((res.codes, _plc(res.graphs)))
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_checkpoint_resume(tmp_path):
-    path = str(tmp_path / "ckpt.pickle")
-    generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=path)
-    resumed = generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=path)
-    fresh = generate_q6(GenSpec(q=4, n_max=14))
+    path = tmp_path / "ckpt.json"
+    spec = GenSpec(q=4, n_max=16)
+    generate_q6(spec, checkpoint_path=str(path))
+    assert json.loads(path.read_text())["done"] > 0
+    resumed = generate_q6(spec, checkpoint_path=str(path))
+    fresh = generate_q6(spec)
     assert resumed.codes == fresh.codes
+    assert _plc(resumed.graphs) == _plc(fresh.graphs)
 
 
-def test_checkpoint_version_mismatch(tmp_path):
-    path = tmp_path / "ckpt.pickle"
-    generate_q6(GenSpec(q=4, n_max=12), checkpoint_path=str(path))
-    payload = pickle.loads(path.read_bytes())
-    del payload["version"]  # the layout written before versioning
-    path.write_bytes(pickle.dumps(payload))
-    with pytest.raises(CheckpointError, match="format"):
-        generate_q6(GenSpec(q=4, n_max=12), checkpoint_path=str(path))
+def test_checkpoint_resume_mid_run(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    spec = GenSpec(q=4, n_max=24)
+    fresh = generate_q6(spec)
+    # a clock that advances one second per reading: the budget check before
+    # subtree i reads i + 1 seconds, so a 5 s budget stops after 5 subtrees
+    ticks = itertools.count()
+    monkeypatch.setattr(generator, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    cut = generate_q6(spec, budget_seconds=5.0, checkpoint_path=str(path))
+    monkeypatch.undo()
+    assert cut.truncated
+    assert json.loads(path.read_text())["done"] == 5
+    assert len(cut.codes) < len(fresh.codes)
+    resumed = generate_q6(spec, checkpoint_path=str(path))
+    assert not resumed.truncated
+    assert resumed.codes == fresh.codes
+    assert _plc(resumed.graphs) == _plc(fresh.graphs)
 
 
-def test_checkpoint_spec_mismatch(tmp_path):
-    path = str(tmp_path / "ckpt.pickle")
-    generate_q6(GenSpec(q=4, n_max=12), checkpoint_path=path)
+@pytest.fixture
+def checkpoint(tmp_path):
+    """A finished q=4, n_max=14 run's checkpoint file."""
+    path = tmp_path / "ckpt.json"
+    generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=str(path))
+    return path
+
+
+def _resume(path):
+    return generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=str(path))
+
+
+def test_checkpoint_truncated_file(checkpoint):
+    data = checkpoint.read_bytes()
+    checkpoint.write_bytes(data[: len(data) // 2])
+    with pytest.raises(CheckpointError, match="not a JSON checkpoint"):
+        _resume(checkpoint)
+
+
+def test_checkpoint_pickle_refused(checkpoint):
+    payload = json.loads(checkpoint.read_text())
+    checkpoint.write_bytes(pickle.dumps(payload))  # the layout before format 3
+    with pytest.raises(CheckpointError, match="not a JSON checkpoint"):
+        _resume(checkpoint)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(done="1"),
+        lambda p: p.update(done=10**6),  # more subtrees than the run has
+        lambda p: p.update(graphs={}),
+        lambda p: p["graphs"].__setitem__(0, "cube"),
+        lambda p: p["graphs"][0].update(sigma=[str(d) for d in p["graphs"][0]["sigma"]]),
+        lambda p: p["graphs"][0].update(vertex_of=None),
+        # sigma no longer keeps each dart at its vertex
+        lambda p: p["graphs"][0]["sigma"].reverse(),
+        # a valid map that is not a 4/6 graph
+        lambda p: p["graphs"].append(_graph_row(make_named("tetrahedron"))),
+    ],
+    ids=["done-str", "done-range", "graphs-dict", "graph-str", "sigma-str",
+         "vertex_of-null", "not-a-map", "not-q6"],
+)
+def test_checkpoint_malformed(checkpoint, edit):
+    payload = json.loads(checkpoint.read_text())
+    edit(payload)
+    checkpoint.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError):
+        _resume(checkpoint)
+
+
+def test_checkpoint_version_mismatch(checkpoint):
+    payload = json.loads(checkpoint.read_text())
+    for version in (None, 2):
+        payload["version"] = version
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="format"):
+            _resume(checkpoint)
+
+
+def test_checkpoint_spec_mismatch(checkpoint):
     with pytest.raises(CheckpointError, match="n_max"):
-        generate_q6(GenSpec(q=4, n_max=14), checkpoint_path=path)
+        generate_q6(GenSpec(q=4, n_max=18), checkpoint_path=str(checkpoint))
 
 
 def test_spec_validation():
