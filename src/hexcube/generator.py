@@ -383,7 +383,8 @@ def _save_checkpoint(path, spec, done, graphs) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fp:
-            json.dump(payload, fp, separators=(",", ":"))
+            # dumps, not dump: only the one-shot encoder runs in C
+            fp.write(json.dumps(payload, separators=(",", ":")))
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(tmp, path)
@@ -400,7 +401,7 @@ def _load_checkpoint(path, spec, n_subtrees):
         return None
     try:
         payload = json.loads(raw)
-    except ValueError as exc:  # also a pickle or truncated file
+    except ValueError as exc:  # a truncated file, or one that is not JSON at all
         raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: not a JSON checkpoint")

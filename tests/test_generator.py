@@ -9,7 +9,6 @@ from types import SimpleNamespace
 import pytest
 
 from hexcube import generator
-
 from hexcube import (
     CheckpointError,
     GenSpec,
@@ -150,7 +149,7 @@ def test_growth_states_are_distinct_patches(q, n_max):
 def test_split_depth_does_not_change_output(q, monkeypatch):
     spec = GenSpec(q=q, n_max=24)
     runs = []
-    for depth in (2, generator.SPLIT_DEPTH, 30):
+    for depth in (8, generator.SPLIT_DEPTH, 30):
         monkeypatch.setattr(generator, "SPLIT_DEPTH", depth)
         res = generate_q6(spec)
         runs.append((res.codes, _plc(res.graphs)))
@@ -162,7 +161,9 @@ def test_checkpoint_resume(tmp_path):
     spec = GenSpec(q=4, n_max=16)
     generate_q6(spec, checkpoint_path=str(path))
     assert json.loads(path.read_text())["done"] > 0
-    resumed = generate_q6(spec, checkpoint_path=str(path))
+    # every subtree is finished, so even a zero budget does not truncate
+    resumed = generate_q6(spec, budget_seconds=0.0, checkpoint_path=str(path))
+    assert not resumed.truncated
     fresh = generate_q6(spec)
     assert resumed.codes == fresh.codes
     assert _plc(resumed.graphs) == _plc(fresh.graphs)
