@@ -177,12 +177,15 @@ def _direct_theta(dist: np.ndarray, ends, e: int, f: int) -> bool:
 # -- recognition -----------------------------------------------------------
 
 
-def recognize_partial_cube(g: PlaneGraph) -> RecognitionResult:
+def recognize_partial_cube(
+    g: PlaneGraph, dist: np.ndarray | None = None
+) -> RecognitionResult:
     """Decide isometric hypercube embeddability, with certificate either way.
 
     On success the embedding assigns vertex 0 the empty set and each class
     a coordinate; the result is verified on all vertex pairs before being
-    returned.
+    returned.  ``dist`` is the distance matrix of ``g`` when the caller
+    already has it.
     """
     bip = bipartition(g)
     if not bip:
@@ -190,7 +193,8 @@ def recognize_partial_cube(g: PlaneGraph) -> RecognitionResult:
             embedding=None,
             failure=RecognitionFailure(kind="odd_cycle", detail=bip.odd_cycle),
         )
-    dist = all_pairs_distances(g)
+    if dist is None:
+        dist = all_pairs_distances(g)
     theta = theta_classes(g, dist)
     n = g.n_vertices
     ne = g.n_edges

@@ -17,6 +17,7 @@ is never a lattice point and therefore lies on at most one patch edge.
 
 from __future__ import annotations
 
+from .embedding import InvariantError
 from .named import OCTAHEDRON_FACES
 from .plane_graph import PlaneGraph, dual, is_q6
 
@@ -71,7 +72,8 @@ def goldberg_coxeter_cube(k: int, l: int) -> PlaneGraph:
     t = k * k + k * l + l * l
     tri = _subdivided_octahedron(k, l)
     g = dual(tri)
-    assert is_q6(g, 4) and g.n_vertices == 8 * t
+    if not (is_q6(g, 4) and g.n_vertices == 8 * t):
+        raise InvariantError(f"GC({k},{l}) is not a square/hexagon map on {8 * t} vertices")
     return g
 
 

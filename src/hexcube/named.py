@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 
+from .embedding import InvariantError
 from .plane_graph import PlaneGraph, truncate
 
 # Faces oriented consistently (interior on the left); the validator in
@@ -154,7 +155,8 @@ def _twisted_faces(shift: int) -> list[tuple]:
             equatorial.append(f)
         else:
             caps.append(f)
-    assert len(equatorial) == 6
+    if len(equatorial) != 6:
+        raise InvariantError(f"chamfered cube has {len(equatorial)} belt hexagons, not 6")
 
     # order the belt hexagons cyclically (consecutive ones share an edge)
     def edge_set(cyc):
@@ -176,14 +178,16 @@ def _twisted_faces(shift: int) -> list[tuple]:
             i for i in range(k) if a_side(cyc[i]) and not a_side(cyc[i - 1])
         )
         rot = tuple(cyc[(start + i) % k] for i in range(k))
-        assert all(a_side(x) for x in rot[:3]) and not any(a_side(x) for x in rot[3:])
+        if not all(a_side(x) for x in rot[:3]) or any(a_side(x) for x in rot[3:]):
+            raise InvariantError("belt hexagon does not split into two half-arcs")
         arcs.append((rot[:3], rot[3:]))
     if arcs[0][0][2] != arcs[1][0][0]:
         arcs = [arcs[0]] + arcs[:0:-1]
     for i in range(6):
         a_cur, b_cur = arcs[i]
         a_next, b_next = arcs[(i + 1) % 6]
-        assert a_cur[2] == a_next[0] and b_next[2] == b_cur[0]
+        if a_cur[2] != a_next[0] or b_next[2] != b_cur[0]:
+            raise InvariantError("belt half-arcs do not chain around the equator")
 
     new_hexes = [arcs[i][0] + arcs[(i + shift) % 6][1] for i in range(6)]
     return caps + new_hexes

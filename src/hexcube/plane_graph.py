@@ -365,25 +365,33 @@ def bipartition(g: PlaneGraph) -> Bipartition:
 
 
 def is_three_connected(g: PlaneGraph) -> bool:
-    """Brute-force 3-connectivity (fine at enumeration scale)."""
-    n = g.n_vertices
-    if n < 4:
+    """3-connectivity read off the faces, in O(sum of squared degrees).
+
+    A connected plane graph on n >= 3 vertices is 2-connected iff every
+    face boundary is a cycle, i.e. no face passes a vertex twice (Diestel,
+    *Graph Theory*, section 4.2).  A 2-connected plane graph on n >= 4
+    vertices is 3-connected iff any two distinct faces share no vertex,
+    one vertex, or exactly the two ends of one common edge: two faces
+    meeting at u and v without sharing the edge uv give a closed curve
+    through both faces that {u, v} cuts, and conversely a 2-cut {u, v}
+    always leaves two faces at u that meet at v without sharing uv.
+    """
+    if g.n_vertices < 4:
         return False
-    nbrs = g.neighbors
-    for a in range(n):
-        for b in range(a + 1, n):
-            start = next(v for v in range(n) if v not in (a, b))
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in nbrs[u]:
-                    if w not in seen and w != a and w != b:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != n - 2:
-                return False
-    return True
+    face_of = g.face_of_dart
+    shared: Counter = Counter()
+    for darts in g.darts_at:
+        around = sorted(face_of[d] for d in darts)
+        if len(set(around)) != len(around):
+            return False  # a face passes this vertex twice: a cut vertex
+        for i, f in enumerate(around):
+            for h in around[i + 1 :]:
+                shared[f, h] += 1
+    across = set()
+    for e in range(g.n_edges):
+        f, h = face_of[2 * e], face_of[2 * e + 1]
+        across.add((f, h) if f < h else (h, f))
+    return all(k == 1 or (k == 2 and pair in across) for pair, k in shared.items())
 
 
 # -- map surgeries --------------------------------------------------------

@@ -84,8 +84,8 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
     bip = bool(bipartition(g))
     all_even = all(s % 2 == 0 for s in fv)
     zones = trace_zones(g) if all_even else None
-    rec = recognize_partial_cube(g)
     dist = all_pairs_distances(g)
+    rec = recognize_partial_cube(g, dist)
     if five_gonal == "skip":
         witnesses = None
         clean = bool(rec)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import hexcube.goldberg
 from hexcube import (
+    InvariantError,
     all_pairs_distances,
     automorphism_count,
     canonical_code,
@@ -25,6 +27,14 @@ def test_subdivision_is_square_hex_cubic(k, l):
     assert g.n_vertices == 8 * t
     assert is_q6(g, 4)
     assert face_vector(g)[4] == 6
+
+
+def test_invariant_error_on_wrong_subdivision(monkeypatch):
+    """The dual of the subdivided octahedron is always a square/hexagon map
+    on 8t vertices, so a failed check can only come from a fault."""
+    monkeypatch.setattr(hexcube.goldberg, "is_q6", lambda g, q: False)
+    with pytest.raises(InvariantError, match=r"GC\(2,1\)"):
+        goldberg_coxeter_cube(2, 1)
 
 
 def test_identity_case_is_cube(named_graphs):

@@ -9,13 +9,18 @@ from hexcube import (
     all_pairs_distances,
     bipartition,
     dual,
+    enumerate_rotation_maps,
     face_vector,
+    goldberg_coxeter_cube,
     is_q6,
     is_three_connected,
     is_three_valent,
+    make_named,
     mirror,
+    named_graph_names,
     truncate,
 )
+from hexcube.named import prism
 
 PATH3 = [[1], [0, 2], [1, 3], [2]]
 
@@ -136,3 +141,72 @@ def test_path_graph_tree_face():
     g = PlaneGraph.from_rotations(PATH3)
     assert len(g.faces) == 1
     assert g.faces[0].size == 2 * g.n_edges
+
+
+def node_connectivity_at_least_3(g: PlaneGraph) -> bool:
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n_vertices))
+    G.add_edges_from(g.edge_endpoints(e) for e in range(g.n_edges))
+    return nx.node_connectivity(G) >= 3
+
+
+def test_three_connectivity_matches_networkx(gen3_20):
+    """The face rule agrees with networkx's vertex connectivity on named
+    graphs, prisms, every small rotation map with its dual and truncation,
+    the q=3 graphs up to n=20 and the Goldberg-Coxeter cubes up to n=104."""
+    graphs = [make_named(name) for name in named_graph_names() if "(" not in name]
+    graphs += [prism(k) for k in range(3, 9)]
+    for q, n_max in ((4, 16), (3, 14), (5, 20)):
+        for g in enumerate_rotation_maps(q, n_max):
+            graphs.append(g)
+            for surgery in (dual, truncate):
+                try:
+                    graphs.append(surgery(g))
+                except MapError:
+                    pass  # the dual of a map with a 2-cut need not be simple
+    graphs += gen3_20.graphs
+    graphs += [
+        goldberg_coxeter_cube(k, l)
+        for k in range(1, 4)
+        for l in range(k + 1)
+        if 8 * (k * k + k * l + l * l) <= 104
+    ]
+    outcomes = [is_three_connected(g) for g in graphs]
+    assert outcomes == [node_connectivity_at_least_3(g) for g in graphs]
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(PlaneGraph(sigma=(0, 1), vertex_of=(0, 1)), id="edge"),
+        pytest.param(PlaneGraph.from_rotations(PATH3), id="path"),
+        # two triangles sharing vertex 0: a cut vertex
+        pytest.param(
+            PlaneGraph.from_rotations([[1, 2, 3, 4], [0, 2], [0, 1], [0, 4], [0, 3]]),
+            id="bowtie",
+        ),
+        # two squares side by side: {1, 4} is a 2-cut through the middle edge
+        pytest.param(
+            PlaneGraph.from_faces([(0, 3, 4, 1), (1, 4, 5, 2), (0, 1, 2, 5, 4, 3)]),
+            id="grid2x1",
+        ),
+        # K_{2,3}: any two faces share the 2-cut {0, 1} and a third vertex
+        pytest.param(
+            PlaneGraph.from_faces([(0, 2, 1, 3), (0, 3, 1, 4), (0, 4, 1, 2)]),
+            id="k23",
+        ),
+        # two diamonds glued at the ends u=0, v=1 of their missing edges: the
+        # quadrilaterals (0, 3, 1, 4) and (0, 5, 1, 2) share exactly {0, 1}
+        pytest.param(
+            PlaneGraph.from_faces(
+                [(0, 2, 3), (1, 3, 2), (0, 3, 1, 4), (0, 4, 5), (1, 5, 4), (0, 5, 1, 2)]
+            ),
+            id="two_diamonds",
+        ),
+    ],
+)
+def test_three_connectivity_negative_cases(g):
+    assert not node_connectivity_at_least_3(g)
+    assert not is_three_connected(g)
