@@ -133,39 +133,37 @@ class FiveGonalWitness:
 
 
 def theta_classes(g: PlaneGraph, dist: np.ndarray | None = None) -> ThetaClasses:
-    """Edge classes under the transitive closure of the distance relation."""
-    bip = bipartition(g)
-    if not bip:
-        raise NonBipartiteError("graph has an odd cycle")
+    """Edge classes under the transitive closure of the distance relation.
+
+    The direct relation is one E x E boolean array over the edge
+    endpoints; classes are its connected components, numbered in order of
+    their first edge.
+    """
     if dist is None:
         dist = all_pairs_distances(g)
-    ne = g.n_edges
-    ends = [g.edge_endpoints(e) for e in range(ne)]
-    parent = list(range(ne))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    d = dist
-    for e in range(ne):
-        x, y = ends[e]
-        for f in range(e + 1, ne):
-            u, v = ends[f]
-            if d[x, u] + d[y, v] != d[x, v] + d[y, u]:
-                ri, rj = find(e), find(f)
-                if ri != rj:
-                    parent[ri] = rj
-    labels: dict[int, int] = {}
-    class_of = []
-    for e in range(ne):
-        r = find(e)
-        if r not in labels:
-            labels[r] = len(labels)
-        class_of.append(labels[r])
-    return ThetaClasses(class_of=tuple(class_of), m=len(labels))
+    ends = np.array(g.vertex_of, dtype=np.intp).reshape(-1, 2)
+    x, y = ends[:, 0], ends[:, 1]
+    # a connected graph is bipartite iff no edge joins two vertices at the
+    # same distance from vertex 0
+    if (dist[0, x] == dist[0, y]).any():
+        raise NonBipartiteError("graph has an odd cycle")
+    related = (
+        dist[x[:, None], x[None, :]] + dist[y[:, None], y[None, :]]
+        != dist[x[:, None], y[None, :]] + dist[y[:, None], x[None, :]]
+    )
+    # least edge of each component: propagate minima along the relation
+    # (every edge is related to itself) and jump through labels until
+    # nothing changes
+    ne = len(ends)
+    label = np.arange(ne)
+    while True:
+        low = np.where(related, label[None, :], ne).min(axis=1)
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    firsts, class_of = np.unique(label, return_inverse=True)
+    return ThetaClasses(class_of=tuple(class_of.tolist()), m=len(firsts))
 
 
 def _direct_theta(dist: np.ndarray, ends, e: int, f: int) -> bool:
@@ -256,17 +254,19 @@ def _class_failure(dist, ends, theta: ThetaClasses, c: int, comps: int) -> Recog
 
 
 def verify_scale_embedding(
-    g: PlaneGraph, emb: HypercubeEmbedding
+    g: PlaneGraph, emb: HypercubeEmbedding, dist: np.ndarray | None = None
 ) -> tuple[bool, tuple[int, int] | None]:
     """Exact check of scale * d_G(x,y) == Hamming(phi(x), phi(y)) on all pairs.
 
     Returns (True, None) or (False, first violating pair) in row-major
-    vertex order.
+    vertex order.  ``dist`` is the distance matrix of ``g`` when the caller
+    already has it.
     """
     n = g.n_vertices
     if len(emb.phi) != n:
         raise ValueError("embedding does not cover every vertex")
-    dist = all_pairs_distances(g)
+    if dist is None:
+        dist = all_pairs_distances(g)
     bits = emb.bit_matrix()
     ham = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
     diff = ham != emb.scale * dist
@@ -278,8 +278,22 @@ def verify_scale_embedding(
 
 # -- 5-gonal inequality -----------------------------------------------------
 
-# positions of {a, b} inside an ascending 5-tuple, in scan order
+# positions of {a, b} inside an ascending 5-tuple, in scan order; the same
+# list numbers the ten vertex pairs of a subset
 _ROLE_SPLITS = tuple(itertools.combinations(range(5), 2))
+_PAIR_ENDS = np.array(_ROLE_SPLITS).T
+# per split, the pairs on the left of the inequality: {a, b} and the three
+# pairs inside {x, y, z}; the other six pairs make up the right side
+_LEFT_PAIRS = np.array(
+    [
+        [_ROLE_SPLITS.index(p) for p in [(ia, ib), *itertools.combinations(rest, 2)]]
+        for ia, ib in _ROLE_SPLITS
+        for rest in [[k for k in range(5) if k not in (ia, ib)]]
+    ]
+)
+# subsets per chunk: the first chunk is small so that an early witness is
+# found cheaply, and each chunk doubles up to the cap
+_FIRST_CHUNK = 256
 _CHUNK = 65536
 
 
@@ -297,36 +311,24 @@ def five_gonal_scan(
     if n < 5:
         return []
     witnesses: list[FiveGonalWitness] = []
+    flat = dist.ravel()
     combos = itertools.combinations(range(n), 5)
+    size = _FIRST_CHUNK
     while True:
         chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _CHUNK)),
+            itertools.chain.from_iterable(itertools.islice(combos, size)),
             dtype=np.int64,
         ).reshape(-1, 5)
+        size = min(2 * size, _CHUNK)
         if chunk.size == 0:
             break
-        pair = dist[chunk[:, :, None], chunk[:, None, :]]
-        diam = pair.max(axis=(1, 2))
-        deficits = np.empty((chunk.shape[0], len(_ROLE_SPLITS)), dtype=np.int64)
-        for si, (ia, ib) in enumerate(_ROLE_SPLITS):
-            rest = [k for k in range(5) if k not in (ia, ib)]
-            ix, iy, iz = rest
-            lhs = (
-                pair[:, ia, ib]
-                + pair[:, ix, iy]
-                + pair[:, ix, iz]
-                + pair[:, iy, iz]
-            )
-            rhs = (
-                pair[:, ia, ix]
-                + pair[:, ia, iy]
-                + pair[:, ia, iz]
-                + pair[:, ib, ix]
-                + pair[:, ib, iy]
-                + pair[:, ib, iz]
-            )
-            deficits[:, si] = rhs - lhs
-        bad = np.argwhere(deficits < 0)
+        # one row per vertex pair, one column per subset
+        cols = chunk.T.copy()
+        pair = flat.take(cols[_PAIR_ENDS[0]] * n + cols[_PAIR_ENDS[1]])
+        # right minus left, where right plus left is the sum over all pairs
+        left = sum(pair[_LEFT_PAIRS[:, k]] for k in range(4))
+        deficits = pair.sum(axis=0) - 2 * left
+        bad = np.argwhere(deficits.T < 0)
         for row, si in bad:
             combo = chunk[row]
             ia, ib = _ROLE_SPLITS[si]
@@ -338,8 +340,8 @@ def five_gonal_scan(
                     x=int(combo[rest[0]]),
                     y=int(combo[rest[1]]),
                     z=int(combo[rest[2]]),
-                    deficit=int(deficits[row, si]),
-                    diameter=int(diam[row]),
+                    deficit=int(deficits[si, row]),
+                    diameter=int(pair[:, row].max()),
                 )
             )
             if stop_at_first:
@@ -465,7 +467,7 @@ def search_scale_embedding(
     for i, v in enumerate(order):
         phi[v] = frozenset(b for b in range(m) if images[i] >> b & 1)
     emb = HypercubeEmbedding(m=m, scale=scale, phi=tuple(phi))
-    ok, bad = verify_scale_embedding(g, emb)
+    ok, bad = verify_scale_embedding(g, emb, dist)
     if not ok:
         raise InvariantError(f"search returned a non-embedding, pair {bad}")
     return EmbeddingSearchOutcome(status="found", embedding=emb, placements=placements)

@@ -309,25 +309,36 @@ def is_q6(g: PlaneGraph, q: int) -> bool:
 
 
 def all_pairs_distances(g: PlaneGraph) -> np.ndarray:
-    """Hop distances between all vertex pairs (BFS from every vertex)."""
+    """Hop distances between all vertex pairs.
+
+    Runs the BFS from every source at once: row s of the boolean frontier
+    holds the vertices at distance d from s, and a vertex joins the next
+    frontier when one of its neighbours is in the current one.  The
+    neighbour table is padded with the vertex itself, which is already
+    reached whenever it is in a frontier, so mixed degrees need no mask.
+    """
     n = g.n_vertices
     nbrs = g.neighbors
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if row[w] < 0:
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return dist
+    width = max(len(ws) for ws in nbrs)
+    table = np.array(
+        [ws + (v,) * (width - len(ws)) for v, ws in enumerate(nbrs)], dtype=np.intp
+    )
+    dist = np.zeros((n, n), dtype=np.int32)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.copy()
+    d = 0
+    while True:
+        d += 1
+        # gather per neighbour column: nxt[s, v] = any frontier[s, w], w ~ v
+        nxt = frontier[:, table[:, 0]]
+        for j in range(1, width):
+            nxt |= frontier[:, table[:, j]]
+        nxt &= ~reached
+        if not nxt.any():
+            return dist
+        dist[nxt] = d
+        reached |= nxt
+        frontier = nxt
 
 
 def bipartition(g: PlaneGraph) -> Bipartition:

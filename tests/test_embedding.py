@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,15 @@ from hexcube import (
     PlaneGraph,
     Zone,
     all_pairs_distances,
+    bipartition,
     check_graph,
     five_gonal_scan,
+    goldberg_coxeter_cube,
     is_five_gonal,
     recognize_partial_cube,
     search_halfcube_embedding,
     search_scale_embedding,
+    ThetaClasses,
     t_embed_obstruction,
     theta_classes,
     verify_scale_embedding,
@@ -51,9 +56,62 @@ def test_theta_cube_classes_are_parallel_quadruples(named_graphs):
     assert sizes == [4, 4, 4]
 
 
-def test_theta_refuses_non_bipartite(named_graphs):
-    with pytest.raises(NonBipartiteError):
-        theta_classes(named_graphs["tetrahedron"])
+def test_theta_refuses_non_bipartite(monkeypatch, named_graphs):
+    """Bipartiteness is read from the distance matrix, without a BFS of its own."""
+    monkeypatch.setattr(hexcube.embedding, "bipartition", None)
+    odd = ["tetrahedron", "truncated_tetrahedron", "octahedron", "icosahedron"]
+    for g in [named_graphs[name] for name in odd] + [prism(3), prism(5)]:
+        with pytest.raises(NonBipartiteError):
+            theta_classes(g)
+        with pytest.raises(NonBipartiteError):
+            theta_classes(g, all_pairs_distances(g))
+
+
+def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
+    """Union-find over every pair of edges, numbering classes by first edge."""
+    ne = g.n_edges
+    ends = [g.edge_endpoints(e) for e in range(ne)]
+    parent = list(range(ne))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for e in range(ne):
+        x, y = ends[e]
+        for f in range(e + 1, ne):
+            u, v = ends[f]
+            if dist[x, u] + dist[y, v] != dist[x, v] + dist[y, u]:
+                ri, rj = find(e), find(f)
+                if ri != rj:
+                    parent[ri] = rj
+    labels: dict[int, int] = {}
+    class_of = []
+    for e in range(ne):
+        class_of.append(labels.setdefault(find(e), len(labels)))
+    return ThetaClasses(class_of=tuple(class_of), m=len(labels))
+
+
+def test_theta_classes_match_double_loop(named_graphs, gen4_24):
+    graphs = list(gen4_24.graphs)
+    graphs += [g for g in named_graphs.values() if bipartition(g)]
+    graphs += [prism(k) for k in (4, 6, 8)] + [k23(), subdivided_k4()]
+    graphs += [
+        goldberg_coxeter_cube(k, l)
+        for k in range(1, 4)
+        for l in range(k + 1)
+        if 8 * (k * k + k * l + l * l) <= 104
+    ]
+    embeddable = []
+    for g in graphs:
+        dist = all_pairs_distances(g)
+        theta = theta_classes(g, dist)
+        assert theta == theta_classes_oracle(g, dist)
+        assert all(type(c) is int for c in theta.class_of)
+        embeddable.append(bool(recognize_partial_cube(g, dist)))
+    assert True in embeddable and False in embeddable
 
 
 def test_recognition_dimensions(named_graphs):
@@ -102,6 +160,22 @@ def test_verify_scale_embedding_detects_perturbation(named_graphs):
     assert not ok and 3 in pair
 
 
+def test_scale_search_builds_one_distance_matrix(monkeypatch, named_graphs):
+    g = named_graphs["prism(6)"]
+    dist = all_pairs_distances(g)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return dist
+
+    monkeypatch.setattr(hexcube.embedding, "all_pairs_distances", counted)
+    out = search_scale_embedding(g, 4, scale=1)
+    assert out.status == "found" and calls == [g]
+    assert verify_scale_embedding(g, out.embedding, dist) == (True, None)
+    assert calls == [g]
+
+
 def test_tetrahedron_halfcube_coordinates(named_graphs):
     g = named_graphs["tetrahedron"]
     for phi in (
@@ -136,6 +210,48 @@ def test_truncated_tetrahedron_obstruction(named_graphs):
     assert first == [witnesses[0]]
     for w in witnesses:
         assert w.deficit < 0
+
+
+def five_gonal_oracle(dist: np.ndarray) -> list[FiveGonalWitness]:
+    """Every violated pentagonal inequality, subset by subset in ascending
+    lexicographic order and split by split in ascending position order."""
+    d = dist.tolist()
+    out = []
+    for combo in itertools.combinations(range(len(d)), 5):
+        diameter = max(d[u][v] for u, v in itertools.combinations(combo, 2))
+        for ia, ib in itertools.combinations(range(5), 2):
+            a, b = combo[ia], combo[ib]
+            x, y, z = (combo[k] for k in range(5) if k not in (ia, ib))
+            lhs = d[a][b] + d[x][y] + d[x][z] + d[y][z]
+            rhs = sum(d[s][t] for s in (a, b) for t in (x, y, z))
+            if rhs < lhs:
+                out.append(FiveGonalWitness(a, b, x, y, z, rhs - lhs, diameter))
+    return out
+
+
+def test_five_gonal_scan_chunks_match_oracle(monkeypatch, named_graphs):
+    dist = all_pairs_distances(named_graphs["truncated_tetrahedron"])
+    full = five_gonal_scan(dist)
+    assert full == five_gonal_oracle(dist)
+    monkeypatch.setattr(hexcube.embedding, "_FIRST_CHUNK", 1)
+    monkeypatch.setattr(hexcube.embedding, "_CHUNK", 7)
+    assert five_gonal_scan(dist) == full
+    assert five_gonal_scan(dist, stop_at_first=True) == [full[0]]
+
+
+def test_five_gonal_first_witness_on_chunk_boundary(monkeypatch, named_graphs):
+    """The first chunk ends just before, or exactly at, the first witness."""
+    dist = all_pairs_distances(named_graphs["truncated_tetrahedron"])
+    full = five_gonal_oracle(dist)
+    w = full[0]
+    subsets = list(itertools.combinations(range(dist.shape[0]), 5))
+    rank = subsets.index(tuple(sorted((w.a, w.b, w.x, w.y, w.z))))
+    assert rank > 0
+    monkeypatch.setattr(hexcube.embedding, "_CHUNK", 7)
+    for first in (1, rank, rank + 1):
+        monkeypatch.setattr(hexcube.embedding, "_FIRST_CHUNK", first)
+        assert five_gonal_scan(dist, stop_at_first=True) == [w]
+        assert five_gonal_scan(dist) == full
 
 
 def test_witness_deficit_matches_metric(named_graphs):
@@ -212,6 +328,8 @@ def test_invariant_error_on_contradicting_predicates(monkeypatch, named_graphs):
         with pytest.raises(InvariantError, match="zone"):
             check_graph(cube)
     with monkeypatch.context() as m:
-        m.setattr(hexcube.embedding, "verify_scale_embedding", lambda g, emb: (False, (0, 1)))
+        m.setattr(
+            hexcube.embedding, "verify_scale_embedding", lambda g, emb, dist=None: (False, (0, 1))
+        )
         with pytest.raises(InvariantError, match="non-embedding"):
             search_scale_embedding(cube, 3, scale=1)

@@ -151,6 +151,39 @@ def node_connectivity_at_least_3(g: PlaneGraph) -> bool:
     return nx.node_connectivity(G) >= 3
 
 
+def networkx_distances(g: PlaneGraph) -> np.ndarray:
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n_vertices))
+    G.add_edges_from(g.edge_endpoints(e) for e in range(g.n_edges))
+    lengths = dict(nx.all_pairs_shortest_path_length(G))
+    n = g.n_vertices
+    return np.array([[lengths[u][v] for v in range(n)] for u in range(n)])
+
+
+def test_all_pairs_distances_match_networkx():
+    """The all-sources BFS agrees with networkx on the named graphs, graphs
+    of mixed degree (a star and a path, whose neighbour tables are padded),
+    prisms and the Goldberg-Coxeter cubes up to n=104."""
+    graphs = [make_named(name) for name in named_graph_names() if "(" not in name]
+    graphs += [
+        PlaneGraph(sigma=(0, 1), vertex_of=(0, 1)),
+        PlaneGraph.from_rotations([[1, 2, 3, 4], [0], [0], [0], [0]]),
+        PlaneGraph.from_rotations(PATH3),
+    ]
+    graphs += [prism(k) for k in range(3, 9)]
+    graphs += [
+        goldberg_coxeter_cube(k, l)
+        for k in range(1, 4)
+        for l in range(k + 1)
+        if 8 * (k * k + k * l + l * l) <= 104
+    ]
+    for g in graphs:
+        dist = all_pairs_distances(g)
+        assert dist.dtype == np.int32
+        assert np.array_equal(dist, networkx_distances(g))
+
+
 def test_three_connectivity_matches_networkx(gen3_20):
     """The face rule agrees with networkx's vertex connectivity on named
     graphs, prisms, every small rotation map with its dual and truncation,
