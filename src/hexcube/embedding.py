@@ -281,7 +281,6 @@ def verify_scale_embedding(
 # positions of {a, b} inside an ascending 5-tuple, in scan order; the same
 # list numbers the ten vertex pairs of a subset
 _ROLE_SPLITS = tuple(itertools.combinations(range(5), 2))
-_PAIR_ENDS = np.array(_ROLE_SPLITS).T
 # per split, the pairs on the left of the inequality: {a, b} and the three
 # pairs inside {x, y, z}; the other six pairs make up the right side
 _LEFT_PAIRS = np.array(
@@ -324,10 +323,14 @@ def five_gonal_scan(
             break
         # one row per vertex pair, one column per subset
         cols = chunk.T.copy()
-        pair = flat.take(cols[_PAIR_ENDS[0]] * n + cols[_PAIR_ENDS[1]])
+        pair = np.empty((len(_ROLE_SPLITS), len(chunk)), dtype=dist.dtype)
+        for k, (i, j) in enumerate(_ROLE_SPLITS):
+            flat.take(cols[i] * n + cols[j], out=pair[k])
+        left = pair[_LEFT_PAIRS[:, 0]]
+        for k in range(1, 4):
+            left += pair[_LEFT_PAIRS[:, k]]
         # right minus left, where right plus left is the sum over all pairs
-        left = sum(pair[_LEFT_PAIRS[:, k]] for k in range(4))
-        deficits = pair.sum(axis=0) - 2 * left
+        deficits = pair.sum(axis=0, dtype=pair.dtype) - 2 * left
         bad = np.argwhere(deficits.T < 0)
         for row, si in bad:
             combo = chunk[row]

@@ -18,7 +18,6 @@ from hexcube import (
     bipartition,
     check_graph,
     five_gonal_scan,
-    goldberg_coxeter_cube,
     is_five_gonal,
     recognize_partial_cube,
     search_halfcube_embedding,
@@ -94,16 +93,11 @@ def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
     return ThetaClasses(class_of=tuple(class_of), m=len(labels))
 
 
-def test_theta_classes_match_double_loop(named_graphs, gen4_24):
+def test_theta_classes_match_double_loop(named_graphs, gen4_24, gc_cubes):
     graphs = list(gen4_24.graphs)
     graphs += [g for g in named_graphs.values() if bipartition(g)]
     graphs += [prism(k) for k in (4, 6, 8)] + [k23(), subdivided_k4()]
-    graphs += [
-        goldberg_coxeter_cube(k, l)
-        for k in range(1, 4)
-        for l in range(k + 1)
-        if 8 * (k * k + k * l + l * l) <= 104
-    ]
+    graphs += gc_cubes
     embeddable = []
     for g in graphs:
         dist = all_pairs_distances(g)

@@ -11,7 +11,6 @@ from hexcube import (
     dual,
     enumerate_rotation_maps,
     face_vector,
-    goldberg_coxeter_cube,
     is_q6,
     is_three_connected,
     is_three_valent,
@@ -161,7 +160,7 @@ def networkx_distances(g: PlaneGraph) -> np.ndarray:
     return np.array([[lengths[u][v] for v in range(n)] for u in range(n)])
 
 
-def test_all_pairs_distances_match_networkx():
+def test_all_pairs_distances_match_networkx(gc_cubes):
     """The all-sources BFS agrees with networkx on the named graphs, graphs
     of mixed degree (a star and a path, whose neighbour tables are padded),
     prisms and the Goldberg-Coxeter cubes up to n=104."""
@@ -172,19 +171,14 @@ def test_all_pairs_distances_match_networkx():
         PlaneGraph.from_rotations(PATH3),
     ]
     graphs += [prism(k) for k in range(3, 9)]
-    graphs += [
-        goldberg_coxeter_cube(k, l)
-        for k in range(1, 4)
-        for l in range(k + 1)
-        if 8 * (k * k + k * l + l * l) <= 104
-    ]
+    graphs += gc_cubes
     for g in graphs:
         dist = all_pairs_distances(g)
         assert dist.dtype == np.int32
         assert np.array_equal(dist, networkx_distances(g))
 
 
-def test_three_connectivity_matches_networkx(gen3_20):
+def test_three_connectivity_matches_networkx(gen3_20, gc_cubes):
     """The face rule agrees with networkx's vertex connectivity on named
     graphs, prisms, every small rotation map with its dual and truncation,
     the q=3 graphs up to n=20 and the Goldberg-Coxeter cubes up to n=104."""
@@ -199,12 +193,7 @@ def test_three_connectivity_matches_networkx(gen3_20):
                 except MapError:
                     pass  # the dual of a map with a 2-cut need not be simple
     graphs += gen3_20.graphs
-    graphs += [
-        goldberg_coxeter_cube(k, l)
-        for k in range(1, 4)
-        for l in range(k + 1)
-        if 8 * (k * k + k * l + l * l) <= 104
-    ]
+    graphs += gc_cubes
     outcomes = [is_three_connected(g) for g in graphs]
     assert outcomes == [node_connectivity_at_least_3(g) for g in graphs]
     assert True in outcomes and False in outcomes
