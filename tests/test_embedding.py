@@ -13,6 +13,7 @@ from hexcube import (
     InvariantError,
     NonBipartiteError,
     PlaneGraph,
+    ThetaClasses,
     Zone,
     all_pairs_distances,
     bipartition,
@@ -22,7 +23,6 @@ from hexcube import (
     recognize_partial_cube,
     search_halfcube_embedding,
     search_scale_embedding,
-    ThetaClasses,
     t_embed_obstruction,
     theta_classes,
     verify_scale_embedding,
@@ -96,7 +96,7 @@ def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
 def test_theta_classes_match_double_loop(named_graphs, gen4_24, gc_cubes):
     graphs = list(gen4_24.graphs)
     graphs += [g for g in named_graphs.values() if bipartition(g)]
-    graphs += [prism(k) for k in (4, 6, 8)] + [k23(), subdivided_k4()]
+    graphs += [prism(4), prism(8), k23(), subdivided_k4()]
     graphs += gc_cubes
     embeddable = []
     for g in graphs:
