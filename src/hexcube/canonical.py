@@ -95,8 +95,9 @@ def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
     return out
 
 
-def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> CanonicalForm:
-    """Canonical code, automorphism count and chirality in one pass."""
+def _root_orientations(g: PlaneGraph, include_reflection: bool):
+    """The canonical root set: for each orientation, its rotation table and
+    the darts on a face of minimum size, in increasing order."""
     sigma = g.sigma
     size = [0] * len(sigma)
     for f in g.faces:
@@ -108,10 +109,19 @@ def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> CanonicalF
         orientations.append(
             (_sigma_inverse(sigma), [d for d in range(len(sigma)) if size[d ^ 1] == fmin])
         )
+    return orientations
+
+
+def _encode(code: list[int]) -> bytes:
+    return np.asarray(code, dtype=">u2").tobytes()
+
+
+def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> CanonicalForm:
+    """Canonical code, automorphism count and chirality in one pass."""
     best = None
     count = 0
     sides = set()
-    for side, (table, roots) in enumerate(orientations):
+    for side, (table, roots) in enumerate(_root_orientations(g, include_reflection)):
         for root in roots:
             code = _rooted_ints(table, root, best)
             if code is None:
@@ -122,10 +132,32 @@ def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> CanonicalF
             else:
                 best, count, sides = code, 1, {side}
     return CanonicalForm(
-        code=np.asarray(best, dtype=">u2").tobytes(),
+        code=_encode(best),
         aut_order=count,
         chiral=len(sides) == 1 if include_reflection else None,
     )
+
+
+def canonical_root_code(g: PlaneGraph) -> bytes | None:
+    """The canonical code of g (reflections included) when dart 0, in g's own
+    orientation, is one of its minimal roots; None otherwise.
+
+    Dart 0's code is built first and every other root is run against it
+    with the early abort, so the test stops at the first root whose code is
+    strictly smaller.  Of all the rooted maps of one isomorphism class,
+    exactly those rooted at a minimal root pass, and they are all the same
+    rooted map.
+    """
+    (sigma, roots), mirrored = _root_orientations(g, True)
+    if roots[0] != 0:
+        return None  # dart 0 is not on a face of minimum size
+    best = _rooted_ints(sigma, 0, None)
+    for table, others in ((sigma, roots[1:]), mirrored):
+        for root in others:
+            code = _rooted_ints(table, root, best)
+            if code is not None and code != best:
+                return None
+    return _encode(best)
 
 
 def canonical_code(g: PlaneGraph, include_reflection: bool = True) -> bytes:

@@ -12,18 +12,24 @@ history.  Pruning is exact:
   * no loops or parallel edges,
   * partial face chains never exceed six darts and closed faces must be
     q- or 6-gons, with the Euler-forced cap on the number of q-gons,
+  * the face of dart 0, the root face, never exceeds q darts and closes as
+    a q-gon (every map here has 12 / (6 - q) q-gons to be rooted at),
   * for even q, a two-coloring is maintained (all-even-faced maps are
     bipartite, and partial maps are subgraphs of their completions).
 
 The extensions of a state therefore form a tree whose nodes are pairwise
 distinct rooted patches, so the search is a plain depth-first walk over it
-and stores no visited set.  A map with n vertices is completed at depth
-3n/2 edges, so pre-order meets the completions of each n in one fixed
-order.  The states with SPLIT_DEPTH edges, in that order, root an ordered
-list of subtrees; each subtree is the unit of work for the time budget and
-the checkpoint.  Completed maps are deduplicated by the full canonical
-code, keeping the first one met, which also folds the rooted multiplicity
-away.  Output order is (n, canonical code), making runs byte-reproducible.
+and stores no visited set.  A completed map is kept only when dart 0 is a
+minimal root of its canonical form (McKay's canonical augmentation in its
+simplest form, with the root on a smallest face as in Brinkmann and Dress's
+fullgen).  The minimal roots of one class are all the same rooted map, and
+the growth reaches that rooted map exactly once, so each class is kept
+exactly once, as the map grown from its canonical root, and the kept maps
+need no dedup.  The states with SPLIT_DEPTH edges, in pre-order, root an
+ordered list of subtrees; each subtree is the unit of work for the time
+budget and the checkpoint.  Output order is (n, canonical code), and the
+representatives depend neither on the search order nor on SPLIT_DEPTH, so
+runs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -35,16 +41,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .canonical import canonical_code
-from .embedding import five_gonal_scan, recognize_partial_cube
+from .canonical import canonical_root_code
+from .embedding import InvariantError, five_gonal_scan, recognize_partial_cube
 from .plane_graph import MapError, PlaneGraph, all_pairs_distances, bipartition, is_q6
 from .zones import zone_clean
 
 _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 
 # Edge count of the states that root the subtrees.  Shallow enough that the
-# list of roots is built in milliseconds, deep enough to give a few hundred
-# subtrees for q = 3, 4, 5 once n_max exceeds about 14.
+# list of roots is built in milliseconds, deep enough to give 21, 59 and 138
+# subtrees for q = 3, 4, 5 once n_max reaches 20.
 SPLIT_DEPTH = 20
 
 # Predicates that `hexcube generate --filter NAME` keeps graphs by, in order.
@@ -58,7 +64,7 @@ FILTER_NAMES = tuple(FILTERS)
 
 # Bumped whenever the checkpoint layout or the meaning of its subtree count
 # changes; a checkpoint of another version is refused.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -128,7 +134,8 @@ class _Growth:
         """Chain/cycle constraints around a fresh assignment alpha[d]=e.
 
         The two darts of the new edge lie on the two bordering face walks,
-        which may or may not coincide; both are validated.  Returns
+        which may or may not coincide; both are validated.  The face walk
+        through dart 0 is held to q darts instead of six.  Returns
         (legal, closed q-gon count contributed by this step).
         """
         nxt, prv, q = self.nxt, self.prv, self.q
@@ -168,6 +175,10 @@ class _Growth:
                     visited.append(cur)
                     if len(visited) > 6:
                         return False, 0
+            # the face of dart 0 is the root face: a chain of at most q
+            # darts that closes as a q-gon
+            if len(visited) > q and 0 in visited:
+                return False, 0
             if probe == d:
                 e_seen = e in visited
         return True, new_q
@@ -306,19 +317,23 @@ def generate_q6(
     is then flagged truncated and holds the classes met so far, which may
     miss some at any n, so it must not be treated as a complete
     enumeration.  A checkpoint path makes long runs resumable: after each
-    subtree the number of finished subtrees and the graphs found so far are
-    written there atomically.  Resuming raises CheckpointError when the
-    file is unreadable or malformed, or was written by another format
-    version or for another spec.
+    subtree the number of finished subtrees and the graphs the subtrees
+    accepted so far are written there atomically.  Resuming raises
+    CheckpointError when the file is unreadable or malformed, holds a graph
+    that is not a canonical-root representative or repeats a class, or was
+    written by another format version or for another spec.
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
-    found: dict[bytes, PlaneGraph] = {}
+    found: list[tuple[int, bytes, PlaneGraph]] = []
 
     def collect(state) -> None:
         g = growth.finish(state)
-        if g is not None:  # None: positive genus, not a plane graph
-            found.setdefault(canonical_code(g), g)
+        if g is None:  # positive genus, not a plane graph
+            return
+        code = canonical_root_code(g)
+        if code is not None:  # grown from a canonical root: the representative
+            found.append((g.n_vertices, code, g))
 
     # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
     roots = []
@@ -327,13 +342,17 @@ def generate_q6(
             collect(state)
         else:
             roots.append(state)
+    # completions above the split depth are met again on every run, so the
+    # checkpoint holds only what the subtrees accepted
+    above = len(found)
     done = 0
     if checkpoint_path:
-        resumed = _load_checkpoint(checkpoint_path, spec, len(roots))
+        resumed = _load_checkpoint(
+            checkpoint_path, spec, len(roots), {code for _, code, _ in found}
+        )
         if resumed is not None:
-            done, graphs = resumed
-            for g in graphs:
-                found.setdefault(canonical_code(g), g)
+            done, rows = resumed
+            found += rows
     result = GenerationResult()
     for index in range(done, len(roots)):
         if budget_seconds is not None and time.monotonic() - start_time > budget_seconds:
@@ -342,10 +361,13 @@ def generate_q6(
         for state in _descend(growth, roots[index]):
             collect(state)
         if checkpoint_path:
-            _save_checkpoint(checkpoint_path, spec, index + 1, found.values())
-    ordered = sorted(found.items(), key=lambda kv: (kv[1].n_vertices, kv[0]))
-    result.graphs = [g for _, g in ordered]
-    result.codes = [c for c, _ in ordered]
+            _save_checkpoint(checkpoint_path, spec, index + 1, [g for _, _, g in found[above:]])
+    found.sort(key=lambda row: row[:2])
+    for (_, code, _), (_, following, _) in zip(found, found[1:]):
+        if code == following:
+            raise InvariantError("two accepted completions share a canonical code")
+    result.graphs = [g for _, _, g in found]
+    result.codes = [code for _, code, _ in found]
     return result
 
 
@@ -393,7 +415,10 @@ def _save_checkpoint(path, spec, done, graphs) -> None:
         raise
 
 
-def _load_checkpoint(path, spec, n_subtrees):
+def _load_checkpoint(path, spec, n_subtrees, known: set[bytes]):
+    """The finished subtree count and the (n, code, graph) rows of a
+    checkpoint, or None when there is no file; known holds the codes the
+    run has already found above the split depth."""
     try:
         with open(path, "rb") as fp:
             raw = fp.read()
@@ -419,24 +444,30 @@ def _load_checkpoint(path, spec, n_subtrees):
     done = payload.get("done")
     if type(done) is not int or not 0 <= done <= n_subtrees:
         raise CheckpointError(f"{path}: 'done' must be an integer in 0..{n_subtrees}")
-    rows = payload.get("graphs")
-    if not isinstance(rows, list):
+    entries = payload.get("graphs")
+    if not isinstance(entries, list):
         raise CheckpointError(f"{path}: 'graphs' must be a list")
-    graphs = []
-    for i, row in enumerate(rows):
+    rows = []
+    for i, entry in enumerate(entries):
         where = f"{path}: graph {i}"
-        if not isinstance(row, dict):
+        if not isinstance(entry, dict):
             raise CheckpointError(f"{where} is not an object")
-        sigma = _int_tuple(row.get("sigma"), f"{where} sigma")
-        vertex_of = _int_tuple(row.get("vertex_of"), f"{where} vertex_of")
+        sigma = _int_tuple(entry.get("sigma"), f"{where} sigma")
+        vertex_of = _int_tuple(entry.get("vertex_of"), f"{where} vertex_of")
         try:
             g = PlaneGraph(sigma=sigma, vertex_of=vertex_of)
         except MapError as exc:
             raise CheckpointError(f"{where}: {exc}") from exc
         if g.n_vertices > spec.n_max or not is_q6(g, spec.q):
             raise CheckpointError(f"{where} is not a q/6 graph within the spec")
-        graphs.append(g)
-    return done, graphs
+        code = canonical_root_code(g)
+        if code is None:
+            raise CheckpointError(f"{where} is not rooted at a canonical root")
+        if code in known:
+            raise CheckpointError(f"{where} repeats a class")
+        known.add(code)
+        rows.append((g.n_vertices, code, g))
+    return done, rows
 
 
 def _int_tuple(value, what: str) -> tuple[int, ...]:

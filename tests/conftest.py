@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hexcube import GenSpec, generate_q6, goldberg_coxeter_cube, make_named
+from hexcube import GenSpec, PlaneGraph, generate_q6, goldberg_coxeter_cube, make_named
 
 FIVE_EMBEDDABLE = (
     "cube",
@@ -35,6 +35,16 @@ def gen4_24():
 
 
 @pytest.fixture(scope="session")
+def gen4_48():
+    return generate_q6(GenSpec(q=4, n_max=48))
+
+
+@pytest.fixture(scope="session")
+def gen5_36():
+    return generate_q6(GenSpec(q=5, n_max=36))
+
+
+@pytest.fixture(scope="session")
 def gen3_20():
     return generate_q6(GenSpec(q=3, n_max=20))
 
@@ -49,3 +59,21 @@ def gc_cubes():
         for l in range(k + 1)
         if 8 * (k * k + k * l + l * l) <= 104
     ]
+
+
+@pytest.fixture(scope="session")
+def rerooted():
+    """Renumbers a map's darts so that a given dart d becomes dart 0: edge 0
+    and the edge of d swap numbers, and the map is unchanged."""
+
+    def make(g: PlaneGraph, d: int) -> PlaneGraph:
+        perm = list(range(g.dart_count))  # old dart -> new dart
+        perm[0], perm[1], perm[d], perm[d ^ 1] = d, d ^ 1, 0, 1
+        sigma = [0] * g.dart_count
+        vertex_of = [0] * g.dart_count
+        for x in range(g.dart_count):
+            sigma[perm[x]] = perm[g.sigma[x]]
+            vertex_of[perm[x]] = g.vertex_of[x]
+        return PlaneGraph(sigma=tuple(sigma), vertex_of=tuple(vertex_of))
+
+    return make

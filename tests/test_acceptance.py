@@ -98,6 +98,16 @@ def test_criterion_1_theorem_reproduction(theorem_runs):
     )
 
 
+def test_theorem_survivors_to_48():
+    """The paper proves the classification for every n; up to n = 48 the
+    embeddable 4_n are still exactly the five named graphs."""
+    report = verify_theorem(n_max=48)
+    assert report.ok and not report.truncated
+    assert report.total_generated == 89
+    assert len(report.survivors) == 5
+    assert {s["name"]: s["m"] for s in report.survivors} == FIVE
+
+
 def test_criterion_2_oracle_equivalence(gen_q4_24):
     gen16 = generate_q6(GenSpec(q=4, n_max=16))
     oracle = {canonical_code(g) for g in enumerate_rotation_maps(4, 16)}

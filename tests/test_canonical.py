@@ -18,7 +18,7 @@ from hexcube import (
     is_chiral,
     mirror,
 )
-from hexcube.canonical import _try_dart_map
+from hexcube.canonical import _try_dart_map, canonical_root_code
 
 # GC(k,l) of the cube with k^2 + kl + l^2 <= 7; GC(2,1) is chiral
 SMALL_GC = [(1, 0), (1, 1), (2, 0), (2, 1)]
@@ -130,6 +130,20 @@ def test_symmetry_matches_dart_maps(symmetry_cases):
             assert automorphism_count(g, include_reflection=False) == same, name
             assert is_chiral(g) == (flipped == 0), name
     assert is_chiral(symmetry_cases["GC(2,1)"])
+
+
+def test_canonical_root_code_accepts_exactly_the_minimal_roots(symmetry_cases, rerooted):
+    """Rooted at each dart of the map and of its mirror, the map passes the
+    canonical-root test |Aut| times, always with the canonical code."""
+    for name, g in symmetry_cases.items():
+        accepted = [
+            code
+            for h in (g, mirror(g))
+            for d in range(h.dart_count)
+            if (code := canonical_root_code(rerooted(h, d))) is not None
+        ]
+        assert set(accepted) == {canonical_code(g)}, name
+        assert len(accepted) == automorphism_count(g), name
 
 
 @settings(max_examples=40, deadline=None)

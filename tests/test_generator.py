@@ -12,6 +12,8 @@ from hexcube import generator
 from hexcube import (
     CheckpointError,
     GenSpec,
+    InvariantError,
+    PlaneGraph,
     all_pairs_distances,
     canonical_code,
     enumerate_rotation_maps,
@@ -24,10 +26,20 @@ from hexcube import (
     write_planar_code,
     zone_clean,
 )
+from hexcube.canonical import canonical_root_code
 
 # class counts cross-checked against the independent matching enumerator
 EXPECTED_COUNTS_Q4 = {8: 1, 12: 1, 14: 1, 16: 1, 18: 1, 20: 3, 22: 1, 24: 3}
 EXPECTED_COUNTS_Q3 = {4: 1, 8: 1, 12: 2, 16: 3, 20: 2}
+# per-n counts of the 4_n with n <= 48 as the generator gave them before it
+# grew from canonical roots: regression anchors, not independent ones
+REGRESSION_COUNTS_Q4_48 = {
+    8: 1, 12: 1, 14: 1, 16: 1, 18: 1, 20: 3, 22: 1, 24: 3, 26: 3, 28: 3,
+    30: 2, 32: 8, 34: 3, 36: 7, 38: 7, 40: 7, 42: 5, 44: 14, 46: 6, 48: 12,
+}
+# isomer counts of the fullerenes C20..C36 (Fowler and Manolopoulos, An
+# Atlas of Fullerenes); there is no C22
+FULLERENE_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 34: 6, 36: 15}
 
 
 def test_counts_q4(gen4_24):
@@ -81,6 +93,67 @@ def test_fullerene_sanity_counts():
     assert res.counts == {20: 1, 24: 1}
 
 
+def test_fullerene_counts_to_36(gen5_36):
+    assert gen5_36.counts == {n: c for n, c in FULLERENE_COUNTS.items() if c}
+    assert not gen5_36.truncated
+
+
+def test_counts_q4_to_48(gen4_48):
+    assert gen4_48.counts == REGRESSION_COUNTS_Q4_48
+    assert not gen4_48.truncated
+
+
+@pytest.mark.parametrize("gen, n_max", [("gen4_48", 32), ("gen5_36", 28)])
+def test_outputs_match_networkx(gen, n_max, request):
+    """Whitney: a 3-connected planar graph has one embedding up to
+    reflection, so distinct classes of 3-connected maps are distinct graphs."""
+    nx = pytest.importorskip("networkx")
+    by_n: dict[int, list] = {}
+    for g in request.getfixturevalue(gen).graphs:
+        if g.n_vertices <= n_max and is_three_connected(g):
+            nxg = nx.Graph(g.edge_endpoints(e) for e in range(g.n_edges))
+            assert nx.check_planarity(nxg)[0]
+            by_n.setdefault(g.n_vertices, []).append(nxg)
+    assert any(len(graphs) > 1 for graphs in by_n.values())  # a pair to compare
+    for graphs in by_n.values():
+        for a, b in itertools.combinations(graphs, 2):
+            assert not nx.is_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("q, n_max", [(3, 20), (4, 32), (5, 28)])
+def test_one_accepted_completion_per_class(q, n_max, monkeypatch):
+    """Every class the growth completes has exactly one completion that the
+    canonical-root test accepts, and that one is the output."""
+    accepted: dict[bytes, int] = {}
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        code = canonical_root_code(g)
+        key = canonical_code(g)
+        accepted[key] = accepted.get(key, 0) + (code is not None)
+        return code
+
+    monkeypatch.setattr(generator, "canonical_root_code", counting)
+    res = generate_q6(GenSpec(q=q, n_max=n_max))
+    assert set(accepted.values()) == {1}
+    assert set(accepted) == set(res.codes)
+    assert calls > len(res.codes)  # some completions were turned away
+
+
+@pytest.mark.parametrize("gen", ["gen3_20", "gen4_48", "gen5_36"])
+def test_outputs_are_canonical_root_representatives(gen, request):
+    for g in request.getfixturevalue(gen).graphs:
+        assert canonical_root_code(g) == canonical_code(g)
+
+
+def test_repeated_code_raises(monkeypatch):
+    monkeypatch.setattr(generator, "canonical_root_code", lambda g: b"same")
+    with pytest.raises(InvariantError, match="canonical code"):
+        generate_q6(GenSpec(q=4, n_max=16))
+
+
 def test_triangle_family_facts(gen3_20, named_graphs):
     assert gen3_20.codes[0] == canonical_code(named_graphs["tetrahedron"])
     # the single graph with eight vertices: diameter 3, a cut pair, not 5-gonal
@@ -126,7 +199,7 @@ def _graph_row(g) -> dict:
     return {"sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
 
 
-@pytest.mark.parametrize("q, n_max", [(3, 20), (4, 28), (5, 24)])
+@pytest.mark.parametrize("q, n_max", [(3, 32), (4, 28), (5, 24)])
 def test_growth_states_are_distinct_patches(q, n_max):
     """No two incomplete states of the growth tree are the same rooted
     patch, so a dedup of the states could never drop one."""
@@ -241,11 +314,30 @@ def test_checkpoint_malformed(checkpoint, edit):
 
 def test_checkpoint_version_mismatch(checkpoint):
     payload = json.loads(checkpoint.read_text())
-    for version in (None, 2):
+    # format 3 numbered the subtrees of the growth without root-face pruning
+    for version in (None, 2, 3):
         payload["version"] = version
         checkpoint.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="format"):
             _resume(checkpoint)
+
+
+def test_checkpoint_graph_not_at_canonical_root(checkpoint, rerooted):
+    payload = json.loads(checkpoint.read_text())
+    g = PlaneGraph(**{k: tuple(v) for k, v in payload["graphs"][0].items()})
+    on_hexagon = next(f.darts[0] for f in g.faces if f.size == 6)
+    payload["graphs"][0] = _graph_row(rerooted(g, on_hexagon))
+    checkpoint.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="canonical root"):
+        _resume(checkpoint)
+
+
+def test_checkpoint_repeated_class(checkpoint):
+    payload = json.loads(checkpoint.read_text())
+    payload["graphs"].append(payload["graphs"][0])
+    checkpoint.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="repeats"):
+        _resume(checkpoint)
 
 
 def test_checkpoint_spec_mismatch(checkpoint):
