@@ -332,9 +332,18 @@ def test_checkpoint_graph_not_at_canonical_root(checkpoint, rerooted):
         _resume(checkpoint)
 
 
-def test_checkpoint_repeated_class(checkpoint):
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda p: p["graphs"][0],
+        # the cube is completed above the split depth, on every run
+        lambda p: _graph_row(generate_q6(GenSpec(q=4, n_max=8)).graphs[0]),
+    ],
+    ids=["twice-in-file", "above-split"],
+)
+def test_checkpoint_repeated_class(checkpoint, extra):
     payload = json.loads(checkpoint.read_text())
-    payload["graphs"].append(payload["graphs"][0])
+    payload["graphs"].append(extra(payload))
     checkpoint.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="repeats"):
         _resume(checkpoint)
