@@ -33,13 +33,7 @@ from .embedding import (
     theta_classes,
     verify_scale_embedding,
 )
-from .generator import (
-    FILTER_NAMES,
-    CheckpointError,
-    GenerationResult,
-    GenSpec,
-    generate_q6,
-)
+from .generator import CheckpointError, GenerationResult, GenSpec, generate_q6
 from .goldberg import goldberg_coxeter_cube
 from .named import make_named, named_graph_names
 from .planar_code import (
@@ -66,6 +60,7 @@ from .plane_graph import (
     truncate,
 )
 from .reports import (
+    FILTER_NAMES,
     CheckReport,
     TheoremReport,
     ZoneSurveyReport,

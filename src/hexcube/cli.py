@@ -2,20 +2,18 @@
 
 Exit codes: 0 success, 1 input error, 2 usage error, 3 budget truncation,
 4 verification mismatch.  Data goes to stdout (or -o), progress to stderr;
-all commands are deterministic for a fixed configuration, including under
---threads variation.
+all commands are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import BinaryIO
 
 from .embedding import search_halfcube_embedding
-from .generator import FILTER_NAMES, FILTERS, GenSpec, generate_q6
+from .generator import GenSpec, generate_q6
 from .goldberg import goldberg_coxeter_cube
 from .named import make_named, named_graph_names
 from .planar_code import (
@@ -27,6 +25,9 @@ from .planar_code import (
 )
 from .plane_graph import MapError, PlaneGraph
 from .reports import (
+    FILTER_NAMES,
+    FILTERS,
+    FIVE_GONAL_MODES,
     check_many,
     code_digest,
     generation_summary,
@@ -42,13 +43,6 @@ EXIT_INPUT = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 EXIT_MISMATCH = 4
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HEXCUBE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_graphs(args) -> list[PlaneGraph]:
@@ -81,10 +75,9 @@ def _open_out(path: str | None) -> BinaryIO:
 
 
 def cmd_generate(args) -> int:
-    spec = GenSpec(q=args.q, n_max=args.nmax, filters=tuple(args.filter))
-    result = generate_q6(spec, budget_seconds=args.budget)
+    result = generate_q6(GenSpec(q=args.q, n_max=args.nmax), budget_seconds=args.budget)
     graphs = result.graphs
-    for name in spec.filters:
+    for name in args.filter:
         graphs = [g for g in graphs if FILTERS[name](g)]
     out = _open_out(args.output)
     try:
@@ -104,15 +97,13 @@ def cmd_check(args) -> int:
     except (PlanarCodeError, MapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    reports = check_many(graphs, threads=args.threads, five_gonal=args.five_gonal)
+    reports = check_many(graphs, five_gonal=args.five_gonal)
     sys.stdout.write(reports_to_jsonl(reports))
     return EXIT_OK
 
 
 def cmd_verify_theorem(args) -> int:
-    report = verify_theorem(
-        n_max=args.nmax, threads=args.threads, budget_seconds=args.budget
-    )
+    report = verify_theorem(n_max=args.nmax, budget_seconds=args.budget)
     for line in report.lines():
         print(line)
     if report.truncated:
@@ -121,9 +112,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_zone_survey(args) -> int:
-    report = reproduce_zone_computation(
-        n_max=args.nmax, threads=args.threads, budget_seconds=args.budget
-    )
+    report = reproduce_zone_computation(n_max=args.nmax, budget_seconds=args.budget)
     for line in report.lines():
         print(line)
     if report.truncated:
@@ -189,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--threads", type=int, default=_default_threads())
+    def add_budget(p):
         p.add_argument("--budget", type=float, default=None, help="wall-clock seconds")
 
     p = sub.add_parser("generate", help="enumerate all graphs up to --nmax")
@@ -202,15 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter", action="append", default=[], choices=FILTER_NAMES,
         help="drop graphs failing the predicate (repeatable, applied in order)",
     )
-    add_common(p)
+    add_budget(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("check", help="full predicate report per graph (JSON lines)")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--named", help=f"one of: {', '.join(named_graph_names())}")
     src.add_argument("-i", "--input", help="planar_code file")
-    p.add_argument("--five-gonal", choices=("full", "first", "skip"), default="full")
-    add_common(p)
+    p.add_argument("--five-gonal", choices=FIVE_GONAL_MODES, default="full")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -218,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustively confirm the classification of hypercube-embeddable graphs",
     )
     p.add_argument("--nmax", type=int, default=32)
-    add_common(p)
+    add_budget(p)
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser(
@@ -226,14 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="zone-cleanliness filter sweep with embeddability cross-check",
     )
     p.add_argument("--nmax", type=int, default=40)
-    add_common(p)
+    add_budget(p)
     p.set_defaults(func=cmd_zone_survey)
 
     p = sub.add_parser("zones", help="zone report per graph")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--named")
     src.add_argument("-i", "--input")
-    add_common(p)
     p.set_defaults(func=cmd_zones)
 
     p = sub.add_parser("gc", help="Goldberg-Coxeter subdivision of the cube")
@@ -241,16 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("plc", "json", "dot"), default="json")
-    add_common(p)
     p.set_defaults(func=cmd_gc)
 
-    p = sub.add_parser("embed-halfcube", help="search a scale-2 embedding into H_m")
+    # no abbreviations, so that --budget is not taken for --budget-nodes
+    p = sub.add_parser(
+        "embed-halfcube", help="search a scale-2 embedding into H_m", allow_abbrev=False
+    )
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--named")
     src.add_argument("-i", "--input")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--budget-nodes", type=int, default=10**8)
-    add_common(p)
     p.set_defaults(func=cmd_embed_halfcube)
 
     return parser

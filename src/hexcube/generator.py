@@ -39,12 +39,11 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .canonical import canonical_root_code
-from .embedding import InvariantError, five_gonal_scan, recognize_partial_cube
-from .plane_graph import MapError, PlaneGraph, all_pairs_distances, bipartition, is_q6
-from .zones import zone_clean
+from .embedding import InvariantError
+from .plane_graph import MapError, PlaneGraph, is_q6
 
 _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 
@@ -52,15 +51,6 @@ _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 # list of roots is built in milliseconds, deep enough to give 21, 59 and 138
 # subtrees for q = 3, 4, 5 once n_max reaches 20.
 SPLIT_DEPTH = 20
-
-# Predicates that `hexcube generate --filter NAME` keeps graphs by, in order.
-FILTERS: dict[str, Callable[[PlaneGraph], bool]] = {
-    "bipartite": lambda g: bool(bipartition(g)),
-    "zone_clean": zone_clean,
-    "partial_cube": lambda g: bool(recognize_partial_cube(g)),
-    "five_gonal": lambda g: not five_gonal_scan(all_pairs_distances(g), stop_at_first=True),
-}
-FILTER_NAMES = tuple(FILTERS)
 
 # Bumped whenever the checkpoint layout or the meaning of its subtree count
 # changes; a checkpoint of another version is refused.
@@ -78,16 +68,12 @@ class GenSpec:
 
     q: int
     n_max: int
-    filters: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.q not in (3, 4, 5):
             raise ValueError("q must be 3, 4 or 5")
         if self.n_max < 4:
             raise ValueError("n_max too small")
-        for f in self.filters:
-            if f not in FILTER_NAMES:
-                raise ValueError(f"unknown filter {f!r}")
 
 
 @dataclass
@@ -320,12 +306,26 @@ def generate_q6(
     subtree the number of finished subtrees and the graphs the subtrees
     accepted so far are written there atomically.  Resuming raises
     CheckpointError when the file is unreadable or malformed, holds a graph
-    that is not a canonical-root representative or repeats a class, or was
-    written by another format version or for another spec.
+    that is not a canonical-root representative, or was written by another
+    format version or for another spec; and, before the next save, when a
+    class of the file is met again (twice in the file, above the split
+    depth, or in a subtree below a 'done' set too low).
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
     found: list[tuple[int, bytes, PlaneGraph]] = []
+    met: dict[bytes, bool] = {}  # code -> whether the checkpoint file held it
+
+    def keep(g: PlaneGraph, code: bytes, in_file: bool = False) -> None:
+        if code in met:
+            if in_file or met[code]:
+                raise CheckpointError(
+                    f"{checkpoint_path}: a class of the checkpoint is met again;"
+                    " the file repeats it or its 'done' is too low"
+                )
+            raise InvariantError("two accepted completions share a canonical code")
+        met[code] = in_file
+        found.append((g.n_vertices, code, g))
 
     def collect(state) -> None:
         g = growth.finish(state)
@@ -333,7 +333,7 @@ def generate_q6(
             return
         code = canonical_root_code(g)
         if code is not None:  # grown from a canonical root: the representative
-            found.append((g.n_vertices, code, g))
+            keep(g, code)
 
     # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
     roots = []
@@ -347,12 +347,11 @@ def generate_q6(
     above = len(found)
     done = 0
     if checkpoint_path:
-        resumed = _load_checkpoint(
-            checkpoint_path, spec, len(roots), {code for _, code, _ in found}
-        )
+        resumed = _load_checkpoint(checkpoint_path, spec, len(roots))
         if resumed is not None:
             done, rows = resumed
-            found += rows
+            for g, code in rows:
+                keep(g, code, in_file=True)
     result = GenerationResult()
     for index in range(done, len(roots)):
         if budget_seconds is not None and time.monotonic() - start_time > budget_seconds:
@@ -363,9 +362,6 @@ def generate_q6(
         if checkpoint_path:
             _save_checkpoint(checkpoint_path, spec, index + 1, [g for _, _, g in found[above:]])
     found.sort(key=lambda row: row[:2])
-    for (_, code, _), (_, following, _) in zip(found, found[1:]):
-        if code == following:
-            raise InvariantError("two accepted completions share a canonical code")
     result.graphs = [g for _, _, g in found]
     result.codes = [code for _, code, _ in found]
     return result
@@ -415,10 +411,9 @@ def _save_checkpoint(path, spec, done, graphs) -> None:
         raise
 
 
-def _load_checkpoint(path, spec, n_subtrees, known: set[bytes]):
-    """The finished subtree count and the (n, code, graph) rows of a
-    checkpoint, or None when there is no file; known holds the codes the
-    run has already found above the split depth."""
+def _load_checkpoint(path, spec, n_subtrees):
+    """The finished subtree count and the (graph, code) rows of a
+    checkpoint, or None when there is no file."""
     try:
         with open(path, "rb") as fp:
             raw = fp.read()
@@ -463,10 +458,7 @@ def _load_checkpoint(path, spec, n_subtrees, known: set[bytes]):
         code = canonical_root_code(g)
         if code is None:
             raise CheckpointError(f"{where} is not rooted at a canonical root")
-        if code in known:
-            raise CheckpointError(f"{where} repeats a class")
-        known.add(code)
-        rows.append((g.n_vertices, code, g))
+        rows.append((g, code))
     return done, rows
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .canonical import canonical_code, canonical_form
 from .embedding import (
     InvariantError,
     five_gonal_scan,
+    is_five_gonal,
     recognize_partial_cube,
     t_embed_obstruction,
 )
@@ -42,6 +43,18 @@ THEOREM_DIMENSIONS = {
     "chamfered_cube": 7,
     "twisted_chamfered_cube": 7,
 }
+
+
+# Predicates that `hexcube generate --filter NAME` keeps graphs by, in order.
+FILTERS: dict[str, Callable[[PlaneGraph], bool]] = {
+    "bipartite": lambda g: bool(bipartition(g)),
+    "zone_clean": zone_clean,
+    "partial_cube": lambda g: bool(recognize_partial_cube(g)),
+    "five_gonal": lambda g: is_five_gonal(all_pairs_distances(g)),
+}
+FILTER_NAMES = tuple(FILTERS)
+
+FIVE_GONAL_MODES = ("full", "first", "skip")
 
 
 def code_digest(code: bytes) -> str:
@@ -80,6 +93,8 @@ class CheckReport:
 
 def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
     """Aggregate all predicates; five_gonal is 'full', 'first' or 'skip'."""
+    if five_gonal not in FIVE_GONAL_MODES:
+        raise ValueError(f"five_gonal must be one of {FIVE_GONAL_MODES}, not {five_gonal!r}")
     fv = dict(face_vector(g))
     bip = bool(bipartition(g))
     all_even = all(s % 2 == 0 for s in fv)
@@ -132,12 +147,11 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
 def check_many(
     graphs: list[PlaneGraph], threads: int = 1, five_gonal: str = "full"
 ) -> list[CheckReport]:
-    """Order-preserving parallel map of check_graph (results are identical
-    for any thread count)."""
-    if threads <= 1 or len(graphs) <= 1:
-        return [check_graph(g, five_gonal) for g in graphs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda g: check_graph(g, five_gonal), graphs))
+    """check_graph on each graph, in order.  hexcube runs serially; threads
+    is accepted only as 1, for callers that still pass it."""
+    if threads != 1:
+        raise ValueError("hexcube runs serially")
+    return [check_graph(g, five_gonal) for g in graphs]
 
 
 # -- pipelines --------------------------------------------------------------
@@ -169,9 +183,7 @@ class TheoremReport:
         return out
 
 
-def verify_theorem(
-    n_max: int = 32, threads: int = 1, budget_seconds: float | None = None
-) -> TheoremReport:
+def verify_theorem(n_max: int = 32, budget_seconds: float | None = None) -> TheoremReport:
     """Generate every 4_n with n <= n_max and keep the hypercube-embeddable
     ones; they must be exactly the five known graphs (with dimensions
     3, 4, 6, 7, 7) once n_max >= 32."""
@@ -183,16 +195,8 @@ def verify_theorem(
         truncated=gen.truncated,
         complete_bound=n_max >= 32,
     )
-
-    def probe(g: PlaneGraph):
-        return recognize_partial_cube(g)
-
-    if threads > 1 and len(gen.graphs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            recs = list(pool.map(probe, gen.graphs))
-    else:
-        recs = [probe(g) for g in gen.graphs]
-    for g, code, rec in zip(gen.graphs, gen.codes, recs):
+    for g, code in zip(gen.graphs, gen.codes):
+        rec = recognize_partial_cube(g)
         if rec:
             report.survivors.append(
                 {
@@ -249,7 +253,11 @@ def reproduce_zone_computation(
 ) -> ZoneSurveyReport:
     """Filter all 4_n with n <= n_max by zone cleanliness and cross-check
     that every hypercube-embeddable graph survives.  The subdivided-cube
-    family members within range are reported with their zone status."""
+    family members within range are reported with their zone status.
+    hexcube runs serially; threads is accepted only as 1, for callers that
+    still pass it."""
+    if threads != 1:
+        raise ValueError("hexcube runs serially")
     gen = generate_q6(GenSpec(q=4, n_max=n_max), budget_seconds=budget_seconds)
     names = theorem_graph_codes()
     report = ZoneSurveyReport(
@@ -257,21 +265,10 @@ def reproduce_zone_computation(
     )
     for g in gen.graphs:
         report.counts[g.n_vertices] = report.counts.get(g.n_vertices, 0) + 1
-
-    def probe(args):
-        g, code = args
+    survivor_codes = set()
+    for g, code in zip(gen.graphs, gen.codes):
         clean = zone_clean(g)
         emb = bool(recognize_partial_cube(g))
-        return clean, emb
-
-    pairs = list(zip(gen.graphs, gen.codes))
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(probe, pairs))
-    else:
-        flags = [probe(p) for p in pairs]
-    survivor_codes = set()
-    for (g, code), (clean, emb) in zip(pairs, flags):
         if emb and not clean:
             report.embeddable_subset_ok = False
         if clean:

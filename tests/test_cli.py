@@ -144,13 +144,31 @@ def test_dot_output(capsys):
     assert out.startswith("graph G {")
 
 
-def test_threads_do_not_change_check_output(capsys):
-    _, out1, _ = run(capsys, "check", "--named", "truncated_octahedron", "--threads", "1")
-    _, out8, _ = run(capsys, "check", "--named", "truncated_octahedron", "--threads", "8")
-    assert out1 == out8
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--named", "cube", "--threads", "2"),
+        ("zones", "--named", "cube", "--budget", "1"),
+        ("gc", "-k", "1", "-l", "0", "--budget", "1"),
+        ("embed-halfcube", "--named", "cube", "-m", "3", "--budget", "1"),
+        ("generate", "-q", "4", "--nmax", "8", "--filter", "no_such"),
+    ],
+    ids=["check-threads", "zones-budget", "gc-budget", "embed-halfcube-budget", "unknown-filter"],
+)
+def test_removed_or_unknown_options_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
-def test_env_var_threads(monkeypatch, capsys):
-    monkeypatch.setenv("HEXCUBE_THREADS", "4")
-    code, out, _ = run(capsys, "check", "--named", "cube")
-    assert code == 0 and json.loads(out)["n"] == 8
+@pytest.mark.parametrize(
+    "command",
+    ["generate", "check", "verify-theorem", "reproduce-zone-computation", "zones", "gc",
+     "embed-halfcube"],
+)
+def test_help_lists_budget_only_where_it_is_read(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert "--threads" not in out
+    reads_budget = command in ("generate", "verify-theorem", "reproduce-zone-computation")
+    assert ("--budget " in out) == reads_budget

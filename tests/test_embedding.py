@@ -18,9 +18,11 @@ from hexcube import (
     all_pairs_distances,
     bipartition,
     check_graph,
+    check_many,
     five_gonal_scan,
     is_five_gonal,
     recognize_partial_cube,
+    reproduce_zone_computation,
     search_halfcube_embedding,
     search_scale_embedding,
     t_embed_obstruction,
@@ -327,3 +329,15 @@ def test_invariant_error_on_contradicting_predicates(monkeypatch, named_graphs):
         )
         with pytest.raises(InvariantError, match="non-embedding"):
             search_scale_embedding(cube, 3, scale=1)
+
+
+def test_check_graph_refuses_an_unknown_five_gonal_mode(named_graphs):
+    with pytest.raises(ValueError, match="five_gonal"):
+        check_graph(named_graphs["cube"], five_gonal="fist")
+
+
+def test_reports_run_serially(named_graphs):
+    with pytest.raises(ValueError, match="serially"):
+        check_many([named_graphs["cube"]], threads=2)
+    with pytest.raises(ValueError, match="serially"):
+        reproduce_zone_computation(8, threads=2)

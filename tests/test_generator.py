@@ -349,6 +349,19 @@ def test_checkpoint_repeated_class(checkpoint, extra):
         _resume(checkpoint)
 
 
+def test_checkpoint_done_too_low(checkpoint):
+    """The graphs of a finished run with 'done' set back to 0: the first
+    subtree meets a class of the file again, which is refused before the
+    file is saved over."""
+    payload = json.loads(checkpoint.read_text())
+    payload["done"] = 0
+    checkpoint.write_text(json.dumps(payload))
+    before = checkpoint.read_bytes()
+    with pytest.raises(CheckpointError, match="met again"):
+        _resume(checkpoint)
+    assert checkpoint.read_bytes() == before
+
+
 def test_checkpoint_spec_mismatch(checkpoint):
     with pytest.raises(CheckpointError, match="n_max"):
         generate_q6(GenSpec(q=4, n_max=18), checkpoint_path=str(checkpoint))
@@ -357,5 +370,3 @@ def test_checkpoint_spec_mismatch(checkpoint):
 def test_spec_validation():
     with pytest.raises(ValueError):
         GenSpec(q=7, n_max=10)
-    with pytest.raises(ValueError):
-        GenSpec(q=4, n_max=10, filters=("no_such",))
