@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, sigma_inverse
 
 
 class CanonicalForm(NamedTuple):
@@ -50,13 +50,6 @@ class CanonicalForm(NamedTuple):
     code: bytes
     aut_order: int
     chiral: bool | None
-
-
-def _sigma_inverse(sigma: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(sigma)
-    for d, s in enumerate(sigma):
-        inv[s] = d
-    return inv
 
 
 def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
@@ -107,7 +100,7 @@ def _root_orientations(g: PlaneGraph, include_reflection: bool):
     orientations = [(sigma, [d for d, s in enumerate(size) if s == fmin])]
     if include_reflection:
         orientations.append(
-            (_sigma_inverse(sigma), [d for d in range(len(sigma)) if size[d ^ 1] == fmin])
+            (sigma_inverse(sigma), [d for d in range(len(sigma)) if size[d ^ 1] == fmin])
         )
     return orientations
 
@@ -207,7 +200,7 @@ def are_isomorphic(g: PlaneGraph, h: PlaneGraph, include_reflection: bool = True
         return False
     targets = [h.sigma]
     if include_reflection:
-        targets.append(tuple(_sigma_inverse(h.sigma)))
+        targets.append(sigma_inverse(h.sigma))
     for hs in targets:
         for root in range(h.dart_count):
             if _try_dart_map(g.sigma, hs, root):

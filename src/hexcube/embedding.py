@@ -1,10 +1,10 @@
 """Isometric hypercube embeddings, edge classes, 5-gonal scans and
 scale-2 half-cube search.
 
-A graph embeds isometrically in a hypercube exactly when orienting each
-edge class as a cut yields coordinates whose Hamming distances reproduce
-the graph metric; the recognizer builds that assignment and then verifies
-it exhaustively, so a returned embedding is always certified.
+A connected graph embeds isometrically in a hypercube exactly when it is
+bipartite and its Theta relation is transitive (Djokovic; Winkler).  The
+recognizer checks both, reads the coordinates off the distance matrix and
+verifies them exhaustively, so a returned embedding is always certified.
 """
 
 from __future__ import annotations
@@ -30,17 +30,19 @@ class InvariantError(RuntimeError):
 class ThetaClasses:
     """Partition of the edges into parallelism classes.
 
-    Two edges xy and uv are directly related when
-    d(x,u) + d(y,v) != d(x,v) + d(y,u); classes are the transitive closure.
-    On a hypercube-embeddable graph the classes are the coordinate
-    directions, so the class count equals the embedding dimension.
+    Two edges xy and uv are directly related (Theta) when
+    d(x,u) + d(y,v) != d(x,v) + d(y,u); classes are the transitive closure,
+    numbered in order of their first edge.  ``intransitive`` is the
+    lexicographically first pair of edges e < f of one class c that are not
+    directly related, as (c, e, f), or None when Theta is transitive.  By
+    Winkler's criterion a bipartite graph embeds in a hypercube exactly
+    when it is None, and the classes are then the coordinate directions, so
+    the class count equals the embedding dimension.
     """
 
     class_of: tuple[int, ...]
     m: int
-
-    def edges_of_class(self, c: int) -> tuple[int, ...]:
-        return tuple(e for e, k in enumerate(self.class_of) if k == c)
+    intransitive: tuple[int, int, int] | None
 
     def as_edge_sets(self) -> list[frozenset[int]]:
         out: list[set[int]] = [set() for _ in range(self.m)]
@@ -76,13 +78,11 @@ class HypercubeEmbedding:
 class RecognitionFailure:
     """Concrete witness that no isometric hypercube embedding exists.
 
-    kind is one of:
+    A connected graph is a partial cube iff it is bipartite and Theta is
+    transitive (Winkler), so kind is one of:
       odd_cycle         -- detail: vertex cycle of odd length
-      intransitive_pair -- detail: (class index, edge, edge) where the two
-                           edges were merged only transitively and the class
-                           is not a 2-sided cut
-      class_not_cut     -- detail: (class index, component count)
-      distance_mismatch -- detail: (x, y, graph distance, Hamming distance)
+      intransitive_pair -- detail: (class index, edge, edge), two edges of
+                           one Theta class that are not directly related
     """
 
     kind: str
@@ -133,7 +133,8 @@ class FiveGonalWitness:
 
 
 def theta_classes(g: PlaneGraph, dist: np.ndarray | None = None) -> ThetaClasses:
-    """Edge classes under the transitive closure of the distance relation.
+    """Edge classes under the transitive closure of the distance relation,
+    with the first pair of one class that the relation leaves apart.
 
     The direct relation is one E x E boolean array over the edge
     endpoints; classes are its connected components, numbered in order of
@@ -163,13 +164,19 @@ def theta_classes(g: PlaneGraph, dist: np.ndarray | None = None) -> ThetaClasses
             break
         label = low
     firsts, class_of = np.unique(label, return_inverse=True)
-    return ThetaClasses(class_of=tuple(class_of.tolist()), m=len(firsts))
-
-
-def _direct_theta(dist: np.ndarray, ends, e: int, f: int) -> bool:
-    x, y = ends[e]
-    u, v = ends[f]
-    return dist[x, u] + dist[y, v] != dist[x, v] + dist[y, u]
+    # related edges share a class, so an edge whose row is shorter than its
+    # class has a classmate it is not related to; the least such edge and
+    # its least such classmate are the lexicographically first pair
+    short = np.flatnonzero(related.sum(axis=1) < np.bincount(class_of)[class_of])
+    intransitive = None
+    if short.size:
+        e = int(short[0])
+        c = int(class_of[e])
+        f = int(np.flatnonzero((class_of == c) & ~related[e])[0])
+        intransitive = (c, e, f)
+    return ThetaClasses(
+        class_of=tuple(class_of.tolist()), m=len(firsts), intransitive=intransitive
+    )
 
 
 # -- recognition -----------------------------------------------------------
@@ -180,10 +187,13 @@ def recognize_partial_cube(
 ) -> RecognitionResult:
     """Decide isometric hypercube embeddability, with certificate either way.
 
-    On success the embedding assigns vertex 0 the empty set and each class
-    a coordinate; the result is verified on all vertex pairs before being
-    returned.  ``dist`` is the distance matrix of ``g`` when the caller
-    already has it.
+    A connected graph is a partial cube iff it is bipartite and its Theta
+    relation is transitive (Djokovic 1973, Winkler 1984).  On success
+    vertex 0 gets the empty set, and vertex v gets class c when v lies on
+    the other side of c's first edge xy, that is when d(v,y) < d(v,x)
+    differs from vertex 0.  The embedding is verified on all vertex pairs
+    before being returned.  ``dist`` is the distance matrix of ``g`` when
+    the caller already has it.
     """
     bip = bipartition(g)
     if not bip:
@@ -194,63 +204,21 @@ def recognize_partial_cube(
     if dist is None:
         dist = all_pairs_distances(g)
     theta = theta_classes(g, dist)
-    n = g.n_vertices
-    ne = g.n_edges
-    ends = [g.edge_endpoints(e) for e in range(ne)]
-    nbr_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(ends):
-        nbr_edges[u].append((v, e))
-        nbr_edges[v].append((u, e))
-
-    phi_bits = np.zeros((n, theta.m), dtype=bool)
-    for c in range(theta.m):
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w, e in nbr_edges[u]:
-                if theta.class_of[e] != c and not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        if count == n:
-            # class edges lie inside one side: not an edge cut at all
-            return RecognitionResult(None, _class_failure(dist, ends, theta, c, 1))
-        far = [v for v in range(n) if not seen[v]]
-        # far side must be a single component as well
-        far_seen = {far[0]}
-        stack = [far[0]]
-        while stack:
-            u = stack.pop()
-            for w, e in nbr_edges[u]:
-                if theta.class_of[e] != c and w not in far_seen and not seen[w]:
-                    far_seen.add(w)
-                    stack.append(w)
-        if len(far_seen) != len(far):
-            return RecognitionResult(None, _class_failure(dist, ends, theta, c, 3))
-        phi_bits[far, c] = True
-
-    ham = (phi_bits[:, None, :] != phi_bits[None, :, :]).sum(axis=2)
-    if not np.array_equal(ham, dist):
-        bad = np.argwhere(ham != dist)
-        x, y = (int(v) for v in bad[0])
-        fail = RecognitionFailure(
-            kind="distance_mismatch", detail=(x, y, int(dist[x, y]), int(ham[x, y]))
+    if theta.intransitive is not None:
+        return RecognitionResult(
+            embedding=None,
+            failure=RecognitionFailure(kind="intransitive_pair", detail=theta.intransitive),
         )
-        return RecognitionResult(None, fail)
-    phi = tuple(frozenset(np.flatnonzero(phi_bits[v]).tolist()) for v in range(n))
+    firsts = np.unique(theta.class_of, return_index=True)[1]
+    ends = np.array(g.vertex_of, dtype=np.intp).reshape(-1, 2)[firsts]
+    side = dist[:, ends[:, 1]] < dist[:, ends[:, 0]]
+    bits = side != side[0]
+    phi = tuple(frozenset(np.flatnonzero(row).tolist()) for row in bits)
     emb = HypercubeEmbedding(m=theta.m, scale=1, phi=phi)
+    ok, bad = verify_scale_embedding(g, emb, dist)
+    if not ok:
+        raise InvariantError(f"transitive Theta gave a non-embedding, pair {bad}")
     return RecognitionResult(embedding=emb, failure=None)
-
-
-def _class_failure(dist, ends, theta: ThetaClasses, c: int, comps: int) -> RecognitionFailure:
-    edges = theta.edges_of_class(c)
-    for e, f in itertools.combinations(edges, 2):
-        if not _direct_theta(dist, ends, e, f):
-            return RecognitionFailure(kind="intransitive_pair", detail=(c, e, f))
-    return RecognitionFailure(kind="class_not_cut", detail=(c, comps))
 
 
 def verify_scale_embedding(

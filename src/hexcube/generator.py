@@ -54,7 +54,7 @@ SPLIT_DEPTH = 20
 
 # Bumped whenever the checkpoint layout or the meaning of its subtree count
 # changes; a checkpoint of another version is refused.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(ValueError):
@@ -109,12 +109,12 @@ class _Growth:
         self.cap_q = _Q_FACE_CAP[q]
         self.wide = nd + 1 > 255  # dart positions no longer fit in one byte
 
-    # state: (alpha, used, colors, pairs, count_q, low)
+    # state: (alpha, used, colors, count_q, low)
     def initial(self):
         alpha = [-1] * 6
         alpha[0], alpha[3] = 3, 0
         colors = [0, 1] if self.two_colored else None
-        return (alpha, 2, colors, {(0, 1)}, 0, 1)
+        return (alpha, 2, colors, 0, 1)
 
     def face_check(self, alpha, d: int, e: int) -> tuple[bool, int]:
         """Chain/cycle constraints around a fresh assignment alpha[d]=e.
@@ -171,19 +171,20 @@ class _Growth:
 
     def children(self, state):
         """All legal one-edge extensions, in deterministic order."""
-        alpha, used, colors, pairs, count_q, low = state
+        alpha, used, colors, count_q, low = state
         d = low
         vd = d // 3
+        # vd's darts: a partner vertex met among their images would close a
+        # parallel edge (an unmatched dart gives -1 // 3 == -1, no vertex)
+        b = 3 * vd
+        adjacent = (alpha[b] // 3, alpha[b + 1] // 3, alpha[b + 2] // 3)
         out = []
         # partner among unmatched darts of existing vertices
         for e in range(d + 1, 3 * used):
             if alpha[e] >= 0:
                 continue
             ve = e // 3
-            if ve == vd:
-                continue
-            pair = (vd, ve) if vd < ve else (ve, vd)
-            if pair in pairs:
+            if ve == vd or ve in adjacent:
                 continue
             if colors is not None and colors[vd] == colors[ve]:
                 continue
@@ -196,16 +197,7 @@ class _Growth:
             low2 = d + 1
             while low2 < 3 * used and child_alpha[low2] >= 0:
                 low2 += 1
-            out.append(
-                (
-                    child_alpha,
-                    used,
-                    colors,
-                    pairs | {pair},
-                    count_q + nq,
-                    low2,
-                )
-            )
+            out.append((child_alpha, used, colors, count_q + nq, low2))
         # partner on a fresh vertex
         if used < self.n_max:
             e = 3 * used
@@ -215,20 +207,10 @@ class _Growth:
             ok, nq = self.face_check(child_alpha, d, e)
             if ok and count_q + nq <= self.cap_q:
                 new_colors = colors + [1 - colors[vd]] if colors is not None else None
-                pair = (vd, used)
                 low2 = d + 1
                 while child_alpha[low2] >= 0:
                     low2 += 1
-                out.append(
-                    (
-                        child_alpha,
-                        used + 1,
-                        new_colors,
-                        pairs | {pair},
-                        count_q + nq,
-                        low2,
-                    )
-                )
+                out.append((child_alpha, used + 1, new_colors, count_q + nq, low2))
         return out
 
     def rooted_key(self, state) -> bytes:
@@ -239,7 +221,7 @@ class _Growth:
         patch, which is why the walk needs no dedup; the benchmark tracer
         (perfbench/spans.py) also wraps it by name.
         """
-        alpha, used, _, _, _, _ = state
+        alpha, used, _, _, _ = state
         nxt = self.nxt
         nd = 3 * used
         pos = [-1] * nd
@@ -268,7 +250,7 @@ class _Growth:
         return bytes(buf)
 
     def finish(self, state) -> PlaneGraph | None:
-        alpha, used, _, _, _, _ = state
+        alpha, used, _, _, _ = state
         nd = 3 * used
         # alpha must be the storage convention d ^ 1: renumber darts so that
         # matched pairs become (2e, 2e+1)
@@ -304,42 +286,44 @@ def generate_q6(
     miss some at any n, so it must not be treated as a complete
     enumeration.  A checkpoint path makes long runs resumable: after each
     subtree the number of finished subtrees and the graphs the subtrees
-    accepted so far are written there atomically.  Resuming raises
-    CheckpointError when the file is unreadable or malformed, holds a graph
-    that is not a canonical-root representative, or was written by another
-    format version or for another spec; and, before the next save, when a
+    accepted so far, each with the index of its subtree, are written there
+    atomically.  Resuming raises CheckpointError, before the next save,
+    when the file is unreadable or malformed, holds a graph that is not a
+    canonical-root representative or whose subtree is not below 'done', or
+    was written by another format version or for another spec; and when a
     class of the file is met again (twice in the file, above the split
-    depth, or in a subtree below a 'done' set too low).
+    depth, or in a later subtree than the one the file gives it).
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
-    found: list[tuple[int, bytes, PlaneGraph]] = []
+    # (n, code, graph, index of the accepting subtree or -1 above the split)
+    found: list[tuple[int, bytes, PlaneGraph, int]] = []
     met: dict[bytes, bool] = {}  # code -> whether the checkpoint file held it
 
-    def keep(g: PlaneGraph, code: bytes, in_file: bool = False) -> None:
+    def keep(g: PlaneGraph, code: bytes, subtree: int, in_file: bool = False) -> None:
         if code in met:
             if in_file or met[code]:
                 raise CheckpointError(
                     f"{checkpoint_path}: a class of the checkpoint is met again;"
-                    " the file repeats it or its 'done' is too low"
+                    " the file repeats it or gives it a wrong subtree"
                 )
             raise InvariantError("two accepted completions share a canonical code")
         met[code] = in_file
-        found.append((g.n_vertices, code, g))
+        found.append((g.n_vertices, code, g, subtree))
 
-    def collect(state) -> None:
+    def collect(state, subtree: int) -> None:
         g = growth.finish(state)
         if g is None:  # positive genus, not a plane graph
             return
         code = canonical_root_code(g)
         if code is not None:  # grown from a canonical root: the representative
-            keep(g, code)
+            keep(g, code, subtree)
 
     # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
     roots = []
     for state in _descend(growth, growth.initial(), SPLIT_DEPTH - 1):
         if _is_complete(state):
-            collect(state)
+            collect(state, -1)
         else:
             roots.append(state)
     # completions above the split depth are met again on every run, so the
@@ -350,25 +334,25 @@ def generate_q6(
         resumed = _load_checkpoint(checkpoint_path, spec, len(roots))
         if resumed is not None:
             done, rows = resumed
-            for g, code in rows:
-                keep(g, code, in_file=True)
+            for g, code, subtree in rows:
+                keep(g, code, subtree, in_file=True)
     result = GenerationResult()
     for index in range(done, len(roots)):
         if budget_seconds is not None and time.monotonic() - start_time > budget_seconds:
             result.truncated = True
             break
         for state in _descend(growth, roots[index]):
-            collect(state)
+            collect(state, index)
         if checkpoint_path:
-            _save_checkpoint(checkpoint_path, spec, index + 1, [g for _, _, g in found[above:]])
+            _save_checkpoint(checkpoint_path, spec, index + 1, found[above:])
     found.sort(key=lambda row: row[:2])
-    result.graphs = [g for _, _, g in found]
-    result.codes = [code for _, code, _ in found]
+    result.graphs = [row[2] for row in found]
+    result.codes = [row[1] for row in found]
     return result
 
 
 def _is_complete(state) -> bool:
-    _, used, _, _, _, low = state
+    _, used, _, _, low = state
     return low >= 3 * used
 
 
@@ -387,13 +371,16 @@ def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:
             stack.append(iter(growth.children(state)))
 
 
-def _save_checkpoint(path, spec, done, graphs) -> None:
+def _save_checkpoint(path, spec, done, rows) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
         "q": spec.q,
         "n_max": spec.n_max,
         "done": done,
-        "graphs": [{"sigma": list(g.sigma), "vertex_of": list(g.vertex_of)} for g in graphs],
+        "graphs": [
+            {"subtree": subtree, "sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
+            for _, _, g, subtree in rows
+        ],
     }
     # write beside the target and rename over it, so that an interrupted
     # write leaves the previous checkpoint intact
@@ -412,7 +399,7 @@ def _save_checkpoint(path, spec, done, graphs) -> None:
 
 
 def _load_checkpoint(path, spec, n_subtrees):
-    """The finished subtree count and the (graph, code) rows of a
+    """The finished subtree count and the (graph, code, subtree) rows of a
     checkpoint, or None when there is no file."""
     try:
         with open(path, "rb") as fp:
@@ -447,6 +434,12 @@ def _load_checkpoint(path, spec, n_subtrees):
         where = f"{path}: graph {i}"
         if not isinstance(entry, dict):
             raise CheckpointError(f"{where} is not an object")
+        subtree = entry.get("subtree")
+        if type(subtree) is not int or not 0 <= subtree < done:
+            raise CheckpointError(
+                f"{where}: subtree {subtree!r} is not a finished one (an integer"
+                f" below 'done' = {done}); the row is malformed or 'done' is too low"
+            )
         sigma = _int_tuple(entry.get("sigma"), f"{where} sigma")
         vertex_of = _int_tuple(entry.get("vertex_of"), f"{where} vertex_of")
         try:
@@ -458,7 +451,7 @@ def _load_checkpoint(path, spec, n_subtrees):
         code = canonical_root_code(g)
         if code is None:
             raise CheckpointError(f"{where} is not rooted at a canonical root")
-        rows.append((g, code))
+        rows.append((g, code, subtree))
     return done, rows
 
 

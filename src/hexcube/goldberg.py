@@ -81,18 +81,6 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
     z = (k, l)
     corners = ((0, 0), z, _rot60(z))
     corners3 = tuple((3 * p[0], 3 * p[1]) for p in corners)
-    sides = tuple(_sub(corners[(j + 1) % 3], corners[j]) for j in range(3))
-
-    def inside(p: Pt, cs) -> bool:
-        return all(
-            _cross(_sub(cs[(j + 1) % 3], cs[j]), _sub(p, cs[j])) >= 0 for j in range(3)
-        )
-
-    def outside_side(p: Pt, cs) -> int | None:
-        for j in range(3):
-            if _cross(_sub(cs[(j + 1) % 3], cs[j]), _sub(p, cs[j])) < 0:
-                return j
-        return None
 
     # which chart/side is glued to each directed octahedron edge
     side_of: dict[tuple[int, int], tuple[int, int]] = {}
@@ -115,23 +103,12 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
 
     def walk_home(fi: int, p: Pt) -> tuple[int, Pt]:
         for _ in range(64):
-            j = outside_side(p, corners)
+            j = _outside_side(p, corners)
             if j is None:
                 return fi, p
             gl = glue[(fi, j)]
             fi, p = gl.face, gl.apply(p)
         raise AssertionError("chart walk did not terminate")
-
-    def on_side(p: Pt, j: int) -> bool:
-        a, b = corners[j], corners[(j + 1) % 3]
-        if _cross(_sub(b, a), _sub(p, a)) != 0:
-            return False
-        d, w = _sub(b, a), _sub(p, a)
-        # parameter of p along a->b must lie in [0, 1]
-        num, den = (w[0], d[0]) if d[0] != 0 else (w[1], d[1])
-        if den < 0:
-            num, den = -num, -den
-        return 0 <= num <= den
 
     def point_key(fi: int, p: Pt) -> tuple[int, Pt]:
         reps = {(fi, p)}
@@ -139,7 +116,7 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
         while queue:
             cf, cp = queue.pop()
             for j in range(3):
-                if on_side(cp, j):
+                if _on_side(cp, j, corners):
                     gl = glue[(cf, j)]
                     rep = (gl.face, gl.apply(cp))
                     if rep not in reps:
@@ -162,10 +139,10 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
     n_faces = len(OCTAHEDRON_FACES)
     for fi in range(n_faces):
         for tri, c3 in units:
-            if not inside(c3, corners3):
+            if _outside_side(c3, corners3) is not None:
                 continue
             key = (fi, c3)
-            j = next((j for j in range(3) if _on_side3(c3, j, corners3)), None)
+            j = next((j for j in range(3) if _on_side(c3, j, corners3)), None)
             if j is not None:
                 gl = glue[(fi, j)]
                 key = min(key, (gl.face, gl.apply(c3, scaled=3)))
@@ -185,11 +162,23 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
     return PlaneGraph.from_faces(faces)
 
 
-def _on_side3(c3: Pt, j: int, corners3) -> bool:
-    a, b = corners3[j], corners3[(j + 1) % 3]
-    if _cross(_sub(b, a), _sub(c3, a)) != 0:
+def _outside_side(p: Pt, cs) -> int | None:
+    """The first side j of the counterclockwise triangle cs (from cs[j] to
+    cs[j+1]) that p lies strictly outside of, or None when p is in the
+    closed triangle."""
+    for j in range(3):
+        if _cross(_sub(cs[(j + 1) % 3], cs[j]), _sub(p, cs[j])) < 0:
+            return j
+    return None
+
+
+def _on_side(p: Pt, j: int, cs) -> bool:
+    """Whether p lies on the closed segment from cs[j] to cs[j+1]."""
+    a, b = cs[j], cs[(j + 1) % 3]
+    d, w = _sub(b, a), _sub(p, a)
+    if _cross(d, w) != 0:
         return False
-    d, w = _sub(b, a), _sub(c3, a)
+    # parameter of p along a->b must lie in [0, 1]
     num, den = (w[0], d[0]) if d[0] != 0 else (w[1], d[1])
     if den < 0:
         num, den = -num, -den

@@ -26,6 +26,14 @@ def alpha(d: int) -> int:
     return d ^ 1
 
 
+def sigma_inverse(sigma: Sequence[int]) -> tuple[int, ...]:
+    """The inverse rotation: the next dart clockwise around each vertex."""
+    inv = [0] * len(sigma)
+    for d, s in enumerate(sigma):
+        inv[s] = d
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class Face:
     """One face, as the cyclic dart sequence along its boundary."""
@@ -410,10 +418,7 @@ def is_three_connected(g: PlaneGraph) -> bool:
 
 def mirror(g: PlaneGraph) -> PlaneGraph:
     """The reflected map (rotations reversed)."""
-    inv = [0] * g.dart_count
-    for d, s in enumerate(g.sigma):
-        inv[s] = d
-    return PlaneGraph(sigma=tuple(inv), vertex_of=g.vertex_of)
+    return PlaneGraph(sigma=sigma_inverse(g.sigma), vertex_of=g.vertex_of)
 
 
 def dual(g: PlaneGraph) -> PlaneGraph:
@@ -428,9 +433,7 @@ def dual(g: PlaneGraph) -> PlaneGraph:
 def truncate(g: PlaneGraph) -> PlaneGraph:
     """Cut every vertex: darts of g become vertices, each original vertex a
     polygon and each s-gonal face a 2s-gon."""
-    inv = [0] * g.dart_count
-    for d, s in enumerate(g.sigma):
-        inv[s] = d
+    inv = sigma_inverse(g.sigma)
     cycles: list[list[int]] = []
     for darts in g.darts_at:
         d0 = darts[0]

@@ -13,7 +13,6 @@ from .embedding import (
     five_gonal_scan,
     is_five_gonal,
     recognize_partial_cube,
-    t_embed_obstruction,
 )
 from .generator import GenSpec, GenerationResult, generate_q6
 from .goldberg import goldberg_coxeter_cube
@@ -54,7 +53,7 @@ FILTERS: dict[str, Callable[[PlaneGraph], bool]] = {
 }
 FILTER_NAMES = tuple(FILTERS)
 
-FIVE_GONAL_MODES = ("full", "first", "skip")
+FIVE_GONAL_MODES = ("full", "first")
 
 
 def code_digest(code: bytes) -> str:
@@ -92,7 +91,8 @@ class CheckReport:
 
 
 def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
-    """Aggregate all predicates; five_gonal is 'full', 'first' or 'skip'."""
+    """Aggregate all predicates; five_gonal is 'full' (count every witness)
+    or 'first' (stop at the first)."""
     if five_gonal not in FIVE_GONAL_MODES:
         raise ValueError(f"five_gonal must be one of {FIVE_GONAL_MODES}, not {five_gonal!r}")
     fv = dict(face_vector(g))
@@ -101,15 +101,9 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
     zones = trace_zones(g) if all_even else None
     dist = all_pairs_distances(g)
     rec = recognize_partial_cube(g, dist)
-    if five_gonal == "skip":
-        witnesses = None
-        clean = bool(rec)
-        t_obs = None
-    elif five_gonal == "first":
-        first = five_gonal_scan(dist, stop_at_first=True)
-        witnesses = None
-        clean = not first
-        t_obs = None
+    if five_gonal == "first":
+        witnesses = t_obs = None
+        clean = is_five_gonal(dist)
     else:
         all_w = five_gonal_scan(dist)
         witnesses = len(all_w)

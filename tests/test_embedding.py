@@ -68,10 +68,16 @@ def test_theta_refuses_non_bipartite(monkeypatch, named_graphs):
             theta_classes(g, all_pairs_distances(g))
 
 
+def directly_related(dist: np.ndarray, g: PlaneGraph, e: int, f: int) -> bool:
+    x, y = g.edge_endpoints(e)
+    u, v = g.edge_endpoints(f)
+    return dist[x, u] + dist[y, v] != dist[x, v] + dist[y, u]
+
+
 def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
-    """Union-find over every pair of edges, numbering classes by first edge."""
+    """Union-find over every pair of edges, numbering classes by first edge;
+    the first pair e < f of one class that is not directly related."""
     ne = g.n_edges
-    ends = [g.edge_endpoints(e) for e in range(ne)]
     parent = list(range(ne))
 
     def find(i: int) -> int:
@@ -81,10 +87,8 @@ def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
         return i
 
     for e in range(ne):
-        x, y = ends[e]
         for f in range(e + 1, ne):
-            u, v = ends[f]
-            if dist[x, u] + dist[y, v] != dist[x, v] + dist[y, u]:
+            if directly_related(dist, g, e, f):
                 ri, rj = find(e), find(f)
                 if ri != rj:
                     parent[ri] = rj
@@ -92,7 +96,16 @@ def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
     class_of = []
     for e in range(ne):
         class_of.append(labels.setdefault(find(e), len(labels)))
-    return ThetaClasses(class_of=tuple(class_of), m=len(labels))
+    intransitive = next(
+        (
+            (class_of[e], e, f)
+            for e in range(ne)
+            for f in range(e + 1, ne)
+            if class_of[e] == class_of[f] and not directly_related(dist, g, e, f)
+        ),
+        None,
+    )
+    return ThetaClasses(class_of=tuple(class_of), m=len(labels), intransitive=intransitive)
 
 
 def test_theta_classes_match_double_loop(named_graphs, gen4_24, gc_cubes):
@@ -129,7 +142,27 @@ def test_recognition_failures(named_graphs):
     res = recognize_partial_cube(named_graphs["truncated_tetrahedron"])
     assert not res and res.failure.kind == "odd_cycle"
     res = recognize_partial_cube(k23())
-    assert not res and res.failure.kind in ("intransitive_pair", "class_not_cut")
+    assert not res and res.failure.kind == "intransitive_pair"
+
+
+def test_intransitive_pair_certifies_every_bipartite_failure(gen4_48, gc_cubes):
+    """Every bipartite graph that does not embed fails with a pair (c, e, f):
+    two edges of class c that are not directly related, checked here on the
+    distance matrix.  Winkler's criterion leaves no other failure."""
+    graphs = list(gen4_48.graphs) + gc_cubes + [prism(k) for k in range(3, 13)] + [k23()]
+    failures = 0
+    for g in graphs:
+        res = recognize_partial_cube(g)
+        if res or not bipartition(g):
+            continue
+        failures += 1
+        assert res.failure.kind == "intransitive_pair"
+        c, e, f = res.failure.detail
+        dist = all_pairs_distances(g)
+        class_of = theta_classes(g, dist).class_of
+        assert class_of[e] == class_of[f] == c and e != f
+        assert not directly_related(dist, g, e, f)
+    assert failures > 50
 
 
 def test_even_prisms_need_one_extra_coordinate():
@@ -311,7 +344,8 @@ def test_embedding_json_round_shape(named_graphs):
 
 def test_invariant_error_on_contradicting_predicates(monkeypatch, named_graphs):
     """The cube embeds, so a 5-gonal witness, a self-intersecting zone or a
-    failed verification can only come from a fault; each must raise."""
+    failed verification (of the scale search or of the recognizer) can only
+    come from a fault; each must raise."""
     cube = named_graphs["cube"]
     witness = FiveGonalWitness(a=0, b=1, x=2, y=3, z=4, deficit=-1, diameter=3)
     with monkeypatch.context() as m:
@@ -329,6 +363,8 @@ def test_invariant_error_on_contradicting_predicates(monkeypatch, named_graphs):
         )
         with pytest.raises(InvariantError, match="non-embedding"):
             search_scale_embedding(cube, 3, scale=1)
+        with pytest.raises(InvariantError, match="non-embedding"):
+            recognize_partial_cube(cube)
 
 
 def test_check_graph_refuses_an_unknown_five_gonal_mode(named_graphs):

@@ -195,8 +195,8 @@ def _plc(graphs) -> bytes:
     return buf.getvalue()
 
 
-def _graph_row(g) -> dict:
-    return {"sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
+def _graph_row(g, subtree: int = 0) -> dict:
+    return {"subtree": subtree, "sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
 
 
 @pytest.mark.parametrize("q, n_max", [(3, 32), (4, 28), (5, 24)])
@@ -209,7 +209,7 @@ def test_growth_states_are_distinct_patches(q, n_max):
     stack = [growth.initial()]
     while stack:
         state = stack.pop()
-        if state[5] >= 3 * state[1]:
+        if state[4] >= 3 * state[1]:
             continue
         keys.add(growth.rooted_key(state))
         states += 1
@@ -296,13 +296,15 @@ def test_checkpoint_pickle_refused(checkpoint):
         lambda p: p["graphs"].__setitem__(0, "cube"),
         lambda p: p["graphs"][0].update(sigma=[str(d) for d in p["graphs"][0]["sigma"]]),
         lambda p: p["graphs"][0].update(vertex_of=None),
+        lambda p: p["graphs"][0].pop("subtree"),
+        lambda p: p["graphs"][0].update(subtree=-1),
         # sigma no longer keeps each dart at its vertex
         lambda p: p["graphs"][0]["sigma"].reverse(),
         # a valid map that is not a 4/6 graph
         lambda p: p["graphs"].append(_graph_row(make_named("tetrahedron"))),
     ],
     ids=["done-str", "done-range", "graphs-dict", "graph-str", "sigma-str",
-         "vertex_of-null", "not-a-map", "not-q6"],
+         "vertex_of-null", "subtree-missing", "subtree-negative", "not-a-map", "not-q6"],
 )
 def test_checkpoint_malformed(checkpoint, edit):
     payload = json.loads(checkpoint.read_text())
@@ -314,8 +316,9 @@ def test_checkpoint_malformed(checkpoint, edit):
 
 def test_checkpoint_version_mismatch(checkpoint):
     payload = json.loads(checkpoint.read_text())
-    # format 3 numbered the subtrees of the growth without root-face pruning
-    for version in (None, 2, 3):
+    # format 3 numbered the subtrees of the growth without root-face pruning,
+    # and format 4 rows carry no subtree index
+    for version in (None, 2, 3, 4):
         payload["version"] = version
         checkpoint.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="format"):
@@ -324,7 +327,8 @@ def test_checkpoint_version_mismatch(checkpoint):
 
 def test_checkpoint_graph_not_at_canonical_root(checkpoint, rerooted):
     payload = json.loads(checkpoint.read_text())
-    g = PlaneGraph(**{k: tuple(v) for k, v in payload["graphs"][0].items()})
+    row = payload["graphs"][0]
+    g = PlaneGraph(sigma=tuple(row["sigma"]), vertex_of=tuple(row["vertex_of"]))
     on_hexagon = next(f.darts[0] for f in g.faces if f.size == 6)
     payload["graphs"][0] = _graph_row(rerooted(g, on_hexagon))
     checkpoint.write_text(json.dumps(payload))
@@ -349,17 +353,29 @@ def test_checkpoint_repeated_class(checkpoint, extra):
         _resume(checkpoint)
 
 
-def test_checkpoint_done_too_low(checkpoint):
-    """The graphs of a finished run with 'done' set back to 0: the first
-    subtree meets a class of the file again, which is refused before the
-    file is saved over."""
-    payload = json.loads(checkpoint.read_text())
-    payload["done"] = 0
-    checkpoint.write_text(json.dumps(payload))
-    before = checkpoint.read_bytes()
-    with pytest.raises(CheckpointError, match="met again"):
-        _resume(checkpoint)
-    assert checkpoint.read_bytes() == before
+@pytest.fixture(scope="module")
+def checkpoint_24(tmp_path_factory):
+    """The bytes of a finished q=4, n_max=24 run's checkpoint: 59 subtrees,
+    whose graphs were accepted in subtrees 0 to 54."""
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    generate_q6(GenSpec(q=4, n_max=24), checkpoint_path=str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("done", [0, 10, 30, 50])
+def test_checkpoint_done_too_low(tmp_path, checkpoint_24, done):
+    """A finished run's graphs with 'done' set back below the subtree of
+    some graph are refused on load, before any subtree runs, so the file is
+    never saved over."""
+    payload = json.loads(checkpoint_24)
+    assert max(row["subtree"] for row in payload["graphs"]) >= done
+    payload["done"] = done
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match="'done' is too low"):
+        generate_q6(GenSpec(q=4, n_max=24), checkpoint_path=str(path))
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_spec_mismatch(checkpoint):
