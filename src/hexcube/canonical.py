@@ -7,11 +7,15 @@ dart in that order, the numbers of its sigma- and alpha-images.  The code
 determines the rooted map, so two rooted maps get equal codes exactly when
 an isomorphism carries one root to the other.
 
-``canonical_form`` makes one pass that yields the canonical code, the order
-of the automorphism group and chirality together:
+One walk over one root set serves every caller, always in both
+orientations, since classes are taken up to reflection.  ``canonical_form``
+reads the whole walk and yields the canonical code, the order of the
+automorphism group and chirality together; ``canonical_root_code``, the
+generator's canonical-root test, stops it at the first root that beats
+dart 0:
 
-* **Roots.**  Only darts on a face of minimum size are tried, in each
-  orientation (the mirror orientation uses the inverse rotation, and a dart
+* **Roots.**  Only darts on a face of minimum size are tried, in both
+  orientations (the mirror orientation uses the inverse rotation, and a dart
   d lies there on a face as large as the face of d ^ 1 in the original).
   Isomorphisms and reflections preserve face sizes, so this root set is
   carried onto itself and the minimum code over it is still an invariant of
@@ -43,13 +47,15 @@ class CanonicalForm(NamedTuple):
 
     code      -- isomorphism-class key, equal exactly for isomorphic maps
     aut_order -- order of the automorphism group
-    chiral    -- no orientation-reversing automorphism exists; None when the
-                 pass left reflections out
+    chiral    -- no orientation-reversing automorphism exists
+
+    Both orientations are always walked, so the code is a key up to
+    reflection and aut_order counts orientation-reversing automorphisms.
     """
 
     code: bytes
     aut_order: int
-    chiral: bool | None
+    chiral: bool
 
 
 def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
@@ -88,80 +94,77 @@ def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
     return out
 
 
-def _root_orientations(g: PlaneGraph, include_reflection: bool):
-    """The canonical root set: for each orientation, its rotation table and
-    the darts on a face of minimum size, in increasing order."""
+def _root_orientations(g: PlaneGraph):
+    """The canonical root set: g's rotation table and its mirror's (the
+    inverse rotation), each with the darts on a face of minimum size, in
+    increasing order."""
     sigma = g.sigma
     size = [0] * len(sigma)
     for f in g.faces:
         for d in f.darts:
             size[d] = f.size
     fmin = min(size)
-    orientations = [(sigma, [d for d, s in enumerate(size) if s == fmin])]
-    if include_reflection:
-        orientations.append(
-            (sigma_inverse(sigma), [d for d in range(len(sigma)) if size[d ^ 1] == fmin])
-        )
-    return orientations
+    return (
+        (sigma, [d for d, s in enumerate(size) if s == fmin]),
+        (sigma_inverse(sigma), [d for d in range(len(sigma)) if size[d ^ 1] == fmin]),
+    )
+
+
+def _contenders(orientations):
+    """The one walk over the root set: yield (side, code) for each root, in
+    order, whose code ties or beats the best so far (side 1 is the mirror)."""
+    best = None
+    for side, (table, roots) in enumerate(orientations):
+        for root in roots:
+            code = _rooted_ints(table, root, best)
+            if code is not None:
+                best = code
+                yield side, code
 
 
 def _encode(code: list[int]) -> bytes:
     return np.asarray(code, dtype=">u2").tobytes()
 
 
-def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> CanonicalForm:
+def canonical_form(g: PlaneGraph) -> CanonicalForm:
     """Canonical code, automorphism count and chirality in one pass."""
     best = None
-    count = 0
-    sides = set()
-    for side, (table, roots) in enumerate(_root_orientations(g, include_reflection)):
-        for root in roots:
-            code = _rooted_ints(table, root, best)
-            if code is None:
-                continue
-            if code == best:
-                count += 1
-                sides.add(side)
-            else:
-                best, count, sides = code, 1, {side}
-    return CanonicalForm(
-        code=_encode(best),
-        aut_order=count,
-        chiral=len(sides) == 1 if include_reflection else None,
-    )
+    for side, code in _contenders(_root_orientations(g)):
+        if code == best:
+            count += 1
+            sides.add(side)
+        else:
+            best, count, sides = code, 1, {side}
+    return CanonicalForm(code=_encode(best), aut_order=count, chiral=len(sides) == 1)
 
 
 def canonical_root_code(g: PlaneGraph) -> bytes | None:
-    """The canonical code of g (reflections included) when dart 0, in g's own
-    orientation, is one of its minimal roots; None otherwise.
+    """The canonical code of g when dart 0, in g's own orientation, is one
+    of its minimal roots; None otherwise.
 
-    Dart 0's code is built first and every other root is run against it
-    with the early abort, so the test stops at the first root whose code is
+    The walk starts at dart 0 and stops at the first root whose code is
     strictly smaller.  Of all the rooted maps of one isomorphism class,
     exactly those rooted at a minimal root pass, and they are all the same
     rooted map.
     """
-    (sigma, roots), mirrored = _root_orientations(g, True)
-    if roots[0] != 0:
+    orientations = _root_orientations(g)
+    if orientations[0][1][0] != 0:
         return None  # dart 0 is not on a face of minimum size
-    best = _rooted_ints(sigma, 0, None)
-    for table, others in ((sigma, roots[1:]), mirrored):
-        for root in others:
-            code = _rooted_ints(table, root, best)
-            if code is not None and code != best:
-                return None
+    walk = _contenders(orientations)
+    _, best = next(walk)  # dart 0's code
+    if any(code != best for _, code in walk):
+        return None
     return _encode(best)
 
 
-def canonical_code(g: PlaneGraph, include_reflection: bool = True) -> bytes:
+def canonical_code(g: PlaneGraph) -> bytes:
     """Isomorphism-class key: minimum rooted code over the canonical roots."""
-    return canonical_form(g, include_reflection).code
+    return canonical_form(g).code
 
 
-def automorphism_count(g: PlaneGraph, include_reflection: bool = True) -> int:
-    """Order of the automorphism group (orientation-reversing maps included
-    when include_reflection is set)."""
-    return canonical_form(g, include_reflection).aut_order
+def automorphism_count(g: PlaneGraph) -> int:
+    """Order of the automorphism group, orientation-reversing maps included."""
+    return canonical_form(g).aut_order
 
 
 def is_chiral(g: PlaneGraph) -> bool:

@@ -8,22 +8,16 @@ all commands are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from typing import BinaryIO
 
 from .embedding import search_halfcube_embedding
 from .generator import GenSpec, generate_q6
 from .goldberg import goldberg_coxeter_cube
 from .named import make_named, named_graph_names
-from .planar_code import (
-    PlanarCodeError,
-    graph_to_planar_code,
-    read_planar_code,
-    to_dot,
-    write_planar_code,
-)
-from .plane_graph import MapError, PlaneGraph
+from .planar_code import read_planar_code, to_dot, write_planar_code
+from .plane_graph import PlaneGraph
 from .reports import (
     FILTER_NAMES,
     FILTERS,
@@ -45,33 +39,53 @@ EXIT_TRUNCATED = 3
 EXIT_MISMATCH = 4
 
 
-def _load_graphs(args) -> list[PlaneGraph]:
-    if getattr(args, "named", None):
-        return [make_named(args.named)]
-    with open(args.input, "rb") as fp:
-        return read_planar_code(fp)
+def _reads_graphs(cmd):
+    """Run cmd(args, graphs) on the graphs of --named or -i.  An unknown
+    name, an unreadable file or a malformed stream is an input error: it
+    exits 1, and a malformed stream's message gives the byte offset."""
+
+    def run(args) -> int:
+        try:
+            if args.named:
+                graphs = [make_named(args.named)]
+            else:
+                with open(args.input, "rb") as fp:
+                    graphs = read_planar_code(fp)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        return cmd(args, graphs)
+
+    return run
 
 
-def _emit_graphs(graphs: list[PlaneGraph], fmt: str, out: BinaryIO) -> None:
+def _write_graphs(graphs: list[PlaneGraph], fmt: str, path: str | None) -> None:
+    """Encode every graph, then write them to path (stdout for None or '-').
+    A graph that cannot be encoded (planar_code holds n < 256) raises before
+    anything is written, so it leaves no partial output and no file."""
     if fmt == "plc":
-        write_planar_code(graphs, out)
+        buf = io.BytesIO()
+        write_planar_code(graphs, buf)
+        data = buf.getvalue()
     elif fmt == "dot":
-        for g in graphs:
-            out.write(to_dot(g).encode())
+        data = "".join(map(to_dot, graphs)).encode()
     else:
-        for g in graphs:
-            row = {
+        rows = (
+            {
                 "n": g.n_vertices,
                 "code": code_digest(canonical_code(g)),
                 "rotations": [list(nb) for nb in g.neighbors],
             }
-            out.write((json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n").encode())
-
-
-def _open_out(path: str | None) -> BinaryIO:
+            for g in graphs
+        )
+        data = "".join(
+            json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows
+        ).encode()
     if path in (None, "-"):
-        return sys.stdout.buffer
-    return open(path, "wb")
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fp:
+            fp.write(data)
 
 
 def cmd_generate(args) -> int:
@@ -79,26 +93,16 @@ def cmd_generate(args) -> int:
     graphs = result.graphs
     for name in args.filter:
         graphs = [g for g in graphs if FILTERS[name](g)]
-    out = _open_out(args.output)
-    try:
-        _emit_graphs(graphs, args.format, out)
-    finally:
-        if out is not sys.stdout.buffer:
-            out.close()
+    _write_graphs(graphs, args.format, args.output)
     summary = generation_summary(result)
     summary["emitted"] = len(graphs)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return EXIT_TRUNCATED if result.truncated else EXIT_OK
 
 
-def cmd_check(args) -> int:
-    try:
-        graphs = _load_graphs(args)
-    except (PlanarCodeError, MapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    reports = check_many(graphs, five_gonal=args.five_gonal)
-    sys.stdout.write(reports_to_jsonl(reports))
+@_reads_graphs
+def cmd_check(args, graphs) -> int:
+    sys.stdout.write(reports_to_jsonl(check_many(graphs, five_gonal=args.five_gonal)))
     return EXIT_OK
 
 
@@ -120,12 +124,8 @@ def cmd_zone_survey(args) -> int:
     return EXIT_OK if report.embeddable_subset_ok else EXIT_MISMATCH
 
 
-def cmd_zones(args) -> int:
-    try:
-        graphs = _load_graphs(args)
-    except (PlanarCodeError, MapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+@_reads_graphs
+def cmd_zones(args, graphs) -> int:
     for g in graphs:
         print(json.dumps(zone_report(g), sort_keys=True, separators=(",", ":")))
     return EXIT_OK
@@ -137,28 +137,15 @@ def cmd_gc(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = _open_out(args.output)
-    try:
-        _emit_graphs([g], args.format, out)
-    finally:
-        if out is not sys.stdout.buffer:
-            out.close()
+    _write_graphs([g], args.format, args.output)
     return EXIT_OK
 
 
-def cmd_embed_halfcube(args) -> int:
-    try:
-        graphs = _load_graphs(args)
-    except (PlanarCodeError, MapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+@_reads_graphs
+def cmd_embed_halfcube(args, graphs) -> int:
     status = EXIT_OK
     for g in graphs:
-        try:
-            outcome = search_halfcube_embedding(g, args.m, node_budget=args.budget_nodes)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        outcome = search_halfcube_embedding(g, args.m, node_budget=args.budget_nodes)
         row = {"n": g.n_vertices, "m": args.m, "status": outcome.status}
         if outcome.embedding is not None:
             row.update(outcome.embedding.to_json())
@@ -179,7 +166,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=float, default=None, help="wall-clock seconds")
+        p.add_argument(
+            "--budget", type=float, default=None,
+            help=(
+                "wall-clock seconds; checked only between subtrees of the search, so"
+                " a run can overrun it by a whole subtree, seconds at a large --nmax"
+            ),
+        )
+
+    def add_source(p):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--named", help=f"one of: {', '.join(named_graph_names())}")
+        src.add_argument("-i", "--input", help="planar_code file")
 
     p = sub.add_parser("generate", help="enumerate all graphs up to --nmax")
     p.add_argument("-q", type=int, required=True, choices=(3, 4, 5))
@@ -194,10 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("check", help="full predicate report per graph (JSON lines)")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--named", help=f"one of: {', '.join(named_graph_names())}")
-    src.add_argument("-i", "--input", help="planar_code file")
-    p.add_argument("--five-gonal", choices=FIVE_GONAL_MODES, default="full")
+    add_source(p)
+    p.add_argument(
+        "--five-gonal", choices=FIVE_GONAL_MODES, default="full",
+        help=(
+            "full counts the witnesses over all C(n,5) vertex subsets, which can"
+            " take minutes or more past n of about 100; first stops at the first"
+            " witness and leaves the count and the t-obstruction null"
+        ),
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -217,9 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zone_survey)
 
     p = sub.add_parser("zones", help="zone report per graph")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--named")
-    src.add_argument("-i", "--input")
+    add_source(p)
     p.set_defaults(func=cmd_zones)
 
     p = sub.add_parser("gc", help="Goldberg-Coxeter subdivision of the cube")
@@ -233,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "embed-halfcube", help="search a scale-2 embedding into H_m", allow_abbrev=False
     )
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--named")
-    src.add_argument("-i", "--input")
+    add_source(p)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--budget-nodes", type=int, default=10**8)
     p.set_defaults(func=cmd_embed_halfcube)

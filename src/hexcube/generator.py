@@ -30,6 +30,11 @@ ordered list of subtrees; each subtree is the unit of work for the time
 budget and the checkpoint.  Output order is (n, canonical code), and the
 representatives depend neither on the search order nor on SPLIT_DEPTH, so
 runs are byte-reproducible.
+
+Every face of a completion is a q- or 6-gon, so Euler's formula for a
+3-valent map gives it the characteristic f_q (6 - q) / 6, and the root face
+makes f_q positive: every completion is a plane map, and none is rejected
+for its genus.
 """
 
 from __future__ import annotations
@@ -249,7 +254,7 @@ class _Growth:
                 buf.append(pos[a] + 1 if a >= 0 else 0)
         return bytes(buf)
 
-    def finish(self, state) -> PlaneGraph | None:
+    def finish(self, state) -> PlaneGraph:
         alpha, used, _, _, _ = state
         nd = 3 * used
         # alpha must be the storage convention d ^ 1: renumber darts so that
@@ -266,10 +271,7 @@ class _Growth:
         for d in range(nd):
             new_sigma[perm[d]] = perm[self.nxt[d]]
             new_vertex[perm[d]] = d // 3
-        try:
-            return PlaneGraph(sigma=tuple(new_sigma), vertex_of=tuple(new_vertex))
-        except MapError:
-            return None  # the matching closed up on a higher-genus surface
+        return PlaneGraph(sigma=tuple(new_sigma), vertex_of=tuple(new_vertex))
 
 
 def generate_q6(
@@ -313,8 +315,6 @@ def generate_q6(
 
     def collect(state, subtree: int) -> None:
         g = growth.finish(state)
-        if g is None:  # positive genus, not a plane graph
-            return
         code = canonical_root_code(g)
         if code is not None:  # grown from a canonical root: the representative
             keep(g, code, subtree)

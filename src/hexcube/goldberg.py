@@ -108,7 +108,7 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
                 return fi, p
             gl = glue[(fi, j)]
             fi, p = gl.face, gl.apply(p)
-        raise AssertionError("chart walk did not terminate")
+        raise InvariantError("chart walk did not terminate")
 
     def point_key(fi: int, p: Pt) -> tuple[int, Pt]:
         reps = {(fi, p)}

@@ -23,11 +23,10 @@ class PlanarCodeError(ValueError):
         self.offset = offset
 
 
-def write_planar_code(graphs: Iterable[PlaneGraph], fp: BinaryIO, header: bool = True) -> None:
-    if header:
-        fp.write(HEADER)
-    for g in graphs:
-        fp.write(graph_to_planar_code(g))
+def write_planar_code(graphs: Iterable[PlaneGraph], fp: BinaryIO) -> None:
+    """Write the header and every graph; all graphs are encoded before the
+    first byte is written, so a graph with n >= 256 leaves fp untouched."""
+    fp.write(HEADER + b"".join(map(graph_to_planar_code, graphs)))
 
 
 def graph_to_planar_code(g: PlaneGraph) -> bytes:
@@ -91,9 +90,9 @@ def _read_one(data: bytes, pos: int) -> tuple[PlaneGraph, int]:
         raise PlanarCodeError(f"invalid map: {exc}", start) from exc
 
 
-def to_dot(g: PlaneGraph, name: str = "G") -> str:
+def to_dot(g: PlaneGraph) -> str:
     """Simple undirected DOT rendering (no coordinates)."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n_vertices):
         lines.append(f"  {v};")
     for e in range(g.n_edges):

@@ -27,15 +27,9 @@ from .plane_graph import (
 )
 from .zones import trace_zones, zone_clean
 
-THEOREM_GRAPH_NAMES = (
-    "cube",
-    "prism(6)",
-    "truncated_octahedron",
-    "chamfered_cube",
-    "twisted_chamfered_cube",
-)
-
-THEOREM_DIMENSIONS = {
+# The paper's five hypercube-embeddable 4_n, by name, with the dimension m
+# of their hypercubes.
+THEOREM_GRAPHS = {
     "cube": 3,
     "prism(6)": 4,
     "truncated_octahedron": 6,
@@ -61,7 +55,7 @@ def code_digest(code: bytes) -> str:
 
 
 def theorem_graph_codes() -> dict[bytes, str]:
-    return {canonical_code(make_named(n)): n for n in THEOREM_GRAPH_NAMES}
+    return {canonical_code(make_named(n)): n for n in THEOREM_GRAPHS}
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,7 @@ def verify_theorem(n_max: int = 32, budget_seconds: float | None = None) -> Theo
                 }
             )
     expected = {
-        (THEOREM_DIMENSIONS[name], code_digest(code)) for code, name in names.items()
+        (THEOREM_GRAPHS[name], code_digest(code)) for code, name in names.items()
     }
     got = {(s["m"], s["code"]) for s in report.survivors}
     report.ok = not gen.truncated and report.complete_bound and got == expected

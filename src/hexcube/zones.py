@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .plane_graph import Face, PlaneGraph, all_pairs_distances
 
 
@@ -118,10 +116,9 @@ def edge_based_self_intersection(g: PlaneGraph, zone: Zone) -> bool:
     return False
 
 
-def face_isometric(g: PlaneGraph, dist: np.ndarray | None = None) -> bool:
+def face_isometric(g: PlaneGraph) -> bool:
     """Do shortest paths between vertices of any face stay on that face?"""
-    if dist is None:
-        dist = all_pairs_distances(g)
+    dist = all_pairs_distances(g)
     for f in g.faces:
         vs = f.vertices(g)
         s = len(vs)

@@ -85,12 +85,28 @@ def test_check_named_truncated_tetrahedron(capsys):
     assert row["five_gonal_witnesses"] > 0
 
 
-def test_check_malformed_input(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv", [("check",), ("zones",), ("embed-halfcube", "-m", "3")],
+    ids=["check", "zones", "embed-halfcube"],
+)
+def test_malformed_input_exits_1_with_the_offset(tmp_path, capsys, argv):
     bad = tmp_path / "broken.plc"
-    bad.write_bytes(bytes([2, 3, 0, 1, 0]))
-    code, _, err = run(capsys, "check", "-i", str(bad))
+    bad.write_bytes(bytes([2, 3, 0, 1, 0]))  # n=2 but a neighbor byte of 3
+    code, out, err = run(capsys, *argv, "-i", str(bad))
     assert code == 1
-    assert "offset" in err
+    assert out == ""
+    assert "byte offset 1" in err
+
+
+def test_gc_writes_nothing_when_a_graph_cannot_be_encoded(tmp_path, capsys):
+    # GC(6,0) has n = 288, beyond planar_code's n < 256
+    code, out, _ = run(capsys, "gc", "-k", "6", "-l", "0", "--format", "plc")
+    assert code == 2
+    assert out == ""
+    path = tmp_path / "gc.plc"
+    code, out, _ = run(capsys, "gc", "-k", "6", "-l", "0", "--format", "plc", "-o", str(path))
+    assert code == 2
+    assert not path.exists()
 
 
 def test_verify_theorem_small_bound(capsys):

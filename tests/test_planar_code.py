@@ -67,6 +67,11 @@ def test_large_graph_rejected_on_write():
 
     with pytest.raises(ValueError):
         graph_to_planar_code(Fake())
+    # nothing is written, not even the header
+    buf = io.BytesIO()
+    with pytest.raises(ValueError):
+        write_planar_code([Fake()], buf)
+    assert buf.getvalue() == b""
 
 
 def test_dot_export(named_graphs):
