@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import sys
+from typing import Iterable
 
 from .embedding import search_halfcube_embedding
 from .generator import GenSpec, generate_q6
@@ -59,10 +60,14 @@ def _reads_graphs(cmd):
     return run
 
 
-def _write_graphs(graphs: list[PlaneGraph], fmt: str, path: str | None) -> None:
+def _write_graphs(
+    graphs: list[PlaneGraph], codes: Iterable[bytes], fmt: str, path: str | None
+) -> None:
     """Encode every graph, then write them to path (stdout for None or '-').
-    A graph that cannot be encoded (planar_code holds n < 256) raises before
-    anything is written, so it leaves no partial output and no file."""
+    codes gives the canonical code of each graph; only json reads it, so it
+    may be lazy.  A graph that cannot be encoded (planar_code holds n < 256)
+    raises before anything is written, so it leaves no partial output and
+    no file."""
     if fmt == "plc":
         buf = io.BytesIO()
         write_planar_code(graphs, buf)
@@ -73,10 +78,10 @@ def _write_graphs(graphs: list[PlaneGraph], fmt: str, path: str | None) -> None:
         rows = (
             {
                 "n": g.n_vertices,
-                "code": code_digest(canonical_code(g)),
+                "code": code_digest(code),
                 "rotations": [list(nb) for nb in g.neighbors],
             }
-            for g in graphs
+            for g, code in zip(graphs, codes)
         )
         data = "".join(
             json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows
@@ -90,10 +95,11 @@ def _write_graphs(graphs: list[PlaneGraph], fmt: str, path: str | None) -> None:
 
 def cmd_generate(args) -> int:
     result = generate_q6(GenSpec(q=args.q, n_max=args.nmax), budget_seconds=args.budget)
-    graphs = result.graphs
+    kept = list(zip(result.graphs, result.codes))
     for name in args.filter:
-        graphs = [g for g in graphs if FILTERS[name](g)]
-    _write_graphs(graphs, args.format, args.output)
+        kept = [(g, code) for g, code in kept if FILTERS[name](g)]
+    graphs = [g for g, _ in kept]
+    _write_graphs(graphs, [code for _, code in kept], args.format, args.output)
     summary = generation_summary(result)
     summary["emitted"] = len(graphs)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
@@ -137,7 +143,7 @@ def cmd_gc(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_graphs([g], args.format, args.output)
+    _write_graphs([g], map(canonical_code, [g]), args.format, args.output)
     return EXIT_OK
 
 
@@ -169,14 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget", type=float, default=None,
             help=(
-                "wall-clock seconds; checked only between subtrees of the search, so"
-                " a run can overrun it by a whole subtree, seconds at a large --nmax"
+                "wall-clock seconds; the search reads the clock every few thousand"
+                " states, so a run overruns it by a fraction of a second"
             ),
         )
 
     def add_source(p):
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--named", help=f"one of: {', '.join(named_graph_names())}")
+        src.add_argument(
+            "--named",
+            help=f"one of: {', '.join(named_graph_names())}, or prism(K) with K >= 3",
+        )
         src.add_argument("-i", "--input", help="planar_code file")
 
     p = sub.add_parser("generate", help="enumerate all graphs up to --nmax")

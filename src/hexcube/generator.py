@@ -7,7 +7,17 @@ successor, so a partial map is just a partial matching ``alpha`` on darts.
 The lowest unmatched dart is always extended next, either to an unmatched
 dart of an existing vertex or to the first dart of a fresh vertex, which
 makes every (graph, rooted start) pair reachable by exactly one growth
-history.  Pruning is exact:
+history.
+
+Every dart lies on one face walk (dart x is followed by nxt[alpha[x]]),
+either a closed face or an open chain that runs from a head dart to a tail
+dart, the tail being unmatched.  The state carries two tables read only at
+chain ends: other[x], the chain's other end, and clen[x], its length in
+darts, offset by _ROOT_FACE on the chain of dart 0.  Matching alpha[d] = e
+makes two junctions, tail d onto head nxt[e] and tail e onto head nxt[d];
+each either closes a chain into a face or joins two chains into one, so a
+candidate edge is judged from a few table reads, and only an accepted
+child copies the tables.  Pruning is exact:
 
   * no loops or parallel edges,
   * partial face chains never exceed six darts and closed faces must be
@@ -26,8 +36,9 @@ fullgen).  The minimal roots of one class are all the same rooted map, and
 the growth reaches that rooted map exactly once, so each class is kept
 exactly once, as the map grown from its canonical root, and the kept maps
 need no dedup.  The states with SPLIT_DEPTH edges, in pre-order, root an
-ordered list of subtrees; each subtree is the unit of work for the time
-budget and the checkpoint.  Output order is (n, canonical code), and the
+ordered list of subtrees; each subtree is the unit of work for the
+checkpoint, and the time budget is read before each subtree and every
+CLOCK_EVERY states inside one.  Output order is (n, canonical code), and the
 representatives depend neither on the search order nor on SPLIT_DEPTH, so
 runs are byte-reproducible.
 
@@ -52,6 +63,10 @@ from .plane_graph import MapError, PlaneGraph, is_q6
 
 _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 
+# Added to the length of the chain through dart 0, the root face, so that
+# one integer gives both the length and whether the chain is the root's.
+_ROOT_FACE = 100
+
 # Edge count of the states that root the subtrees.  Shallow enough that the
 # list of roots is built in milliseconds, deep enough to give 21, 59 and 138
 # subtrees for q = 3, 4, 5 once n_max reaches 20.
@@ -60,6 +75,10 @@ SPLIT_DEPTH = 20
 # Bumped whenever the checkpoint layout or the meaning of its subtree count
 # changes; a checkpoint of another version is refused.
 CHECKPOINT_VERSION = 5
+
+# States a subtree expands between two readings of the clock, so that a run
+# overruns its time budget by at most this many states.
+CLOCK_EVERY = 4096
 
 
 class CheckpointError(ValueError):
@@ -99,123 +118,121 @@ class _Growth:
     """Shared tables and the extension step of the patch growth."""
 
     def __init__(self, q: int, n_max: int) -> None:
-        self.q = q
         self.n_max = n_max
         self.two_colored = q % 2 == 0
         nd = 3 * n_max
         nxt = [0] * nd
-        prv = [0] * nd
         for v in range(n_max):
             b = 3 * v
             nxt[b], nxt[b + 1], nxt[b + 2] = b + 1, b + 2, b
-            prv[b], prv[b + 1], prv[b + 2] = b + 2, b, b + 1
         self.nxt = nxt
-        self.prv = prv
         self.cap_q = _Q_FACE_CAP[q]
+        # indexed by a chain length, offset on the root face's: closing[s] is
+        # what closing the chain into a face adds to the q-gon count, -1 when
+        # that face is illegal (a q-gon or hexagon, the root face a q-gon
+        # only); fits[s] tells whether a joined chain is legal (at most six
+        # darts, the root face's at most q)
+        root = _ROOT_FACE
+        self.closing = [-1] * (2 * root)
+        self.closing[q] = self.closing[root + q] = 1
+        self.closing[6] = 0
+        self.fits = [s <= 6 or root < s <= root + q for s in range(2 * root)]
         self.wide = nd + 1 > 255  # dart positions no longer fit in one byte
 
-    # state: (alpha, used, colors, count_q, low)
+    # state: (alpha, used, colors, count_q, low, other, clen); other and clen
+    # cover the darts of the used vertices and of the next fresh vertex
     def initial(self):
         alpha = [-1] * 6
         alpha[0], alpha[3] = 3, 0
         colors = [0, 1] if self.two_colored else None
-        return (alpha, 2, colors, 0, 1)
-
-    def face_check(self, alpha, d: int, e: int) -> tuple[bool, int]:
-        """Chain/cycle constraints around a fresh assignment alpha[d]=e.
-
-        The two darts of the new edge lie on the two bordering face walks,
-        which may or may not coincide; both are validated.  The face walk
-        through dart 0 is held to q darts instead of six.  Returns
-        (legal, closed q-gon count contributed by this step).
-        """
-        nxt, prv, q = self.nxt, self.prv, self.q
-        new_q = 0
-        e_seen = False
-        for probe in (d, e):
-            if probe == e and e_seen:
-                break
-            # walk backward to the chain head (or detect a closed face)
-            visited = [probe]
-            head = probe
-            cycle = False
-            while True:
-                y = alpha[prv[head]]
-                if y < 0:
-                    break
-                head = y
-                if head == probe:
-                    cycle = True
-                    break
-                visited.append(head)
-                if len(visited) > 7:
-                    return False, 0
-            if cycle:
-                size = len(visited)
-                if size not in (q, 6):
-                    return False, 0
-                if size == q:
-                    new_q += 1
-            else:
-                cur = probe
-                while True:
-                    a = alpha[cur]
-                    if a < 0:
-                        break
-                    cur = nxt[a]
-                    visited.append(cur)
-                    if len(visited) > 6:
-                        return False, 0
-            # the face of dart 0 is the root face: a chain of at most q
-            # darts that closes as a q-gon
-            if len(visited) > q and 0 in visited:
-                return False, 0
-            if probe == d:
-                e_seen = e in visited
-        return True, new_q
+        # the chains 0 -> 4 (the root face's) and 3 -> 1, the one-dart chains
+        # 2 and 5, and the fresh vertex's darts 6, 7, 8
+        other = [4, 3, 2, 1, 0, 5, 6, 7, 8]
+        clen = [_ROOT_FACE + 2, 2, 1, 2, _ROOT_FACE + 2, 1, 1, 1, 1]
+        return (alpha, 2, colors, 0, 1, other, clen)
 
     def children(self, state):
         """All legal one-edge extensions, in deterministic order."""
-        alpha, used, colors, count_q, low = state
+        alpha, used, colors, count_q, low, other, clen = state
+        nxt, closing, fits = self.nxt, self.closing, self.fits
         d = low
         vd = d // 3
         # vd's darts: a partner vertex met among their images would close a
         # parallel edge (an unmatched dart gives -1 // 3 == -1, no vertex)
         b = 3 * vd
         adjacent = (alpha[b] // 3, alpha[b + 1] // 3, alpha[b + 2] // 3)
+        nd = 3 * used
+        # alpha[d] = e runs d's chain on into the chain headed by nxt[e], then
+        # e's chain on into the chain headed by nxt[d]
+        head_d, len_d = other[d], clen[d]
+        next_d = nxt[d]
+        tail_next, len_next = other[next_d], clen[next_d]
+        room = self.cap_q - count_q
         out = []
-        # partner among unmatched darts of existing vertices
-        for e in range(d + 1, 3 * used):
-            if alpha[e] >= 0:
+        # the partners: unmatched darts above d, then dart nd of a fresh vertex
+        for e in range(d + 1, nd + 1 if used < self.n_max else nd):
+            if e < nd:
+                if alpha[e] >= 0:
+                    continue
+                ve = e // 3
+                if ve == vd or ve in adjacent:
+                    continue
+                if colors is not None and colors[vd] == colors[ve]:
+                    continue
+            h = nxt[e]
+            head_e, len_e = other[e], clen[e]
+            tail_into, len_into = tail_next, len_next
+            if head_d == h:  # d's chain closes into a face
+                nq = closing[len_d]
+                if nq < 0:
+                    continue
+                joined = 0
+            else:
+                joined = len_d + clen[h]
+                if not fits[joined]:
+                    continue
+                nq = 0
+                tail_h = other[h]
+                # the joined chain may be the one that e ends or nxt[d] heads
+                if tail_h == e:
+                    head_e, len_e = head_d, joined
+                if head_d == next_d:
+                    tail_into, len_into = tail_h, joined
+            if head_e == next_d:  # e's chain closes into a face
+                closed = closing[len_e]
+                if closed < 0:
+                    continue
+                nq += closed
+                joined_e = 0
+            else:
+                joined_e = len_e + len_into
+                if not fits[joined_e]:
+                    continue
+            if nq > room:
                 continue
-            ve = e // 3
-            if ve == vd or ve in adjacent:
-                continue
-            if colors is not None and colors[vd] == colors[ve]:
-                continue
-            child_alpha = alpha.copy()
-            child_alpha[d] = e
-            child_alpha[e] = d
-            ok, nq = self.face_check(child_alpha, d, e)
-            if not ok or count_q + nq > self.cap_q:
-                continue
+            if e == nd:
+                used2 = used + 1
+                alpha2 = alpha + [-1, -1, -1]
+                colors2 = colors + [1 - colors[vd]] if colors is not None else None
+                other2 = other + [e + 3, e + 4, e + 5]
+                clen2 = clen + [1, 1, 1]
+            else:
+                used2, colors2 = used, colors
+                alpha2, other2, clen2 = alpha.copy(), other.copy(), clen.copy()
+            alpha2[d] = e
+            alpha2[e] = d
+            if joined:
+                other2[head_d] = tail_h
+                other2[tail_h] = head_d
+                clen2[head_d] = clen2[tail_h] = joined
+            if joined_e:
+                other2[head_e] = tail_into
+                other2[tail_into] = head_e
+                clen2[head_e] = clen2[tail_into] = joined_e
             low2 = d + 1
-            while low2 < 3 * used and child_alpha[low2] >= 0:
+            while low2 < 3 * used2 and alpha2[low2] >= 0:
                 low2 += 1
-            out.append((child_alpha, used, colors, count_q + nq, low2))
-        # partner on a fresh vertex
-        if used < self.n_max:
-            e = 3 * used
-            child_alpha = alpha + [-1, -1, -1]
-            child_alpha[d] = e
-            child_alpha[e] = d
-            ok, nq = self.face_check(child_alpha, d, e)
-            if ok and count_q + nq <= self.cap_q:
-                new_colors = colors + [1 - colors[vd]] if colors is not None else None
-                low2 = d + 1
-                while child_alpha[low2] >= 0:
-                    low2 += 1
-                out.append((child_alpha, used + 1, new_colors, count_q + nq, low2))
+            out.append((alpha2, used2, colors2, count_q + nq, low2, other2, clen2))
         return out
 
     def rooted_key(self, state) -> bytes:
@@ -226,7 +243,7 @@ class _Growth:
         patch, which is why the walk needs no dedup; the benchmark tracer
         (perfbench/spans.py) also wraps it by name.
         """
-        alpha, used, _, _, _ = state
+        alpha, used = state[0], state[1]
         nxt = self.nxt
         nd = 3 * used
         pos = [-1] * nd
@@ -255,7 +272,7 @@ class _Growth:
         return bytes(buf)
 
     def finish(self, state) -> PlaneGraph:
-        alpha, used, _, _, _ = state
+        alpha, used = state[0], state[1]
         nd = 3 * used
         # alpha must be the storage convention d ^ 1: renumber darts so that
         # matched pairs become (2e, 2e+1)
@@ -283,12 +300,13 @@ def generate_q6(
     (reflections included) of connected 3-valent plane maps with all faces
     of size q or 6 and at most n_max vertices.
 
-    With a budget the run may stop early, between two subtrees; the result
-    is then flagged truncated and holds the classes met so far, which may
+    With a budget the run may stop early, before a subtree or inside one
+    (the clock is read every CLOCK_EVERY states); the result is then
+    flagged truncated and holds the classes met so far, which may
     miss some at any n, so it must not be treated as a complete
     enumeration.  A checkpoint path makes long runs resumable: after each
-    subtree the number of finished subtrees and the graphs the subtrees
-    accepted so far, each with the index of its subtree, are written there
+    finished subtree the number of finished subtrees and the graphs they
+    accepted, each with the index of its subtree, are written there
     atomically.  Resuming raises CheckpointError, before the next save,
     when the file is unreadable or malformed, holds a graph that is not a
     canonical-root representative or whose subtree is not below 'done', or
@@ -298,6 +316,10 @@ def generate_q6(
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
+
+    def out_of_time() -> bool:
+        return budget_seconds is not None and time.monotonic() - start_time > budget_seconds
+
     # (n, code, graph, index of the accepting subtree or -1 above the split)
     found: list[tuple[int, bytes, PlaneGraph, int]] = []
     met: dict[bytes, bool] = {}  # code -> whether the checkpoint file held it
@@ -322,6 +344,8 @@ def generate_q6(
     # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
     roots = []
     for state in _descend(growth, growth.initial(), SPLIT_DEPTH - 1):
+        if state is None:
+            continue
         if _is_complete(state):
             collect(state, -1)
         else:
@@ -338,11 +362,18 @@ def generate_q6(
                 keep(g, code, subtree, in_file=True)
     result = GenerationResult()
     for index in range(done, len(roots)):
-        if budget_seconds is not None and time.monotonic() - start_time > budget_seconds:
+        if out_of_time():
             result.truncated = True
             break
         for state in _descend(growth, roots[index]):
-            collect(state, index)
+            if state is not None:
+                collect(state, index)
+            elif out_of_time():
+                result.truncated = True
+                break
+        if result.truncated:
+            # a cut subtree is not saved as done: a resumed run walks it again
+            break
         if checkpoint_path:
             _save_checkpoint(checkpoint_path, spec, index + 1, found[above:])
     found.sort(key=lambda row: row[:2])
@@ -352,15 +383,16 @@ def generate_q6(
 
 
 def _is_complete(state) -> bool:
-    _, used, _, _, low = state
-    return low >= 3 * used
+    return state[4] >= 3 * state[1]
 
 
 def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:
     """Yield, in depth-first pre-order, every completed descendant of root
     and, when stop is given, every incomplete descendant stop edges below
-    root, which is not expanded further."""
+    root, which is not expanded further.  After every CLOCK_EVERY expanded
+    states it yields None, at which the caller may read the clock."""
     stack = [iter(growth.children(root))]
+    expanded = 1
     while stack:
         state = next(stack[-1], None)
         if state is None:
@@ -369,6 +401,9 @@ def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:
             yield state
         else:
             stack.append(iter(growth.children(state)))
+            expanded += 1
+            if expanded % CLOCK_EVERY == 0:
+                yield None
 
 
 def _save_checkpoint(path, spec, done, rows) -> None:

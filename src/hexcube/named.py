@@ -212,7 +212,8 @@ _NAMED = {
 
 
 def named_graph_names() -> list[str]:
-    return sorted(_NAMED) + ["prism(k)"]
+    """The fixed names that make_named accepts; prism(K) comes besides."""
+    return sorted(_NAMED)
 
 
 def make_named(name: str) -> PlaneGraph:
@@ -225,5 +226,6 @@ def make_named(name: str) -> PlaneGraph:
         return _NAMED[key]()
     except KeyError:
         raise ValueError(
-            f"unknown graph name {name!r}; choose from {', '.join(named_graph_names())}"
+            f"unknown graph name {name!r}; choose from"
+            f" {', '.join(named_graph_names())} or prism(K) with K >= 3"
         ) from None

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from hexcube import FILTER_NAMES, canonical_code, make_named, read_planar_code
+from hexcube import cli
 from hexcube.cli import main
 
 
@@ -64,6 +66,36 @@ def test_generate_with_filter(capsys, name):
     assert code == 0
     assert [json.loads(l)["n"] for l in out.strip().splitlines()] == sizes
     assert json.loads(err.strip().splitlines()[-1])["emitted"] == len(sizes)
+
+
+# sha256 of the stdout of `generate -q 4 --nmax 24 --format json`, without
+# and with --filter partial_cube, as written when the command recomputed the
+# canonical code of every graph it wrote
+JSON_Q4_24 = {
+    (): "24d76fbc51481bdb52d0a67a0661a28964ea351d9cb10ed3d15744915e9c6c45",
+    ("--filter", "partial_cube"):
+        "96ca803c68078342d098b7a2d9d3a8894210268deff3c359ea0905009498dba5",
+}
+
+
+@pytest.mark.parametrize("extra", list(JSON_Q4_24), ids=["all", "partial_cube"])
+def test_generate_json_reuses_the_codes(capsys, monkeypatch, extra):
+    """The codes of the generation result follow the graphs through
+    --filter into the JSON rows, which keep their bytes."""
+
+    def recompute(g):
+        raise AssertionError("generate recomputed a canonical code")
+
+    monkeypatch.setattr(cli, "canonical_code", recompute)
+    code, out, _ = run(capsys, "generate", "-q", "4", "--nmax", "24", "--format", "json", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_Q4_24[extra]
+
+
+def test_named_help_gives_the_prism_form(capsys):
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0
+    assert "prism(K)" in out and "prism(k)" not in out
 
 
 def test_check_named_cube(capsys):

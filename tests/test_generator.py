@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import pickle
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -189,6 +190,72 @@ def test_budget_truncation():
     assert res.truncated
 
 
+def _clock_of_expanded_states(monkeypatch):
+    """Make the generator's clock read the number of states expanded so far,
+    in seconds; returns a one-item list holding that number."""
+    expanded = [0]
+    children = generator._Growth.children
+
+    def counting(self, state):
+        expanded[0] += 1
+        return children(self, state)
+
+    monkeypatch.setattr(generator._Growth, "children", counting)
+    monkeypatch.setattr(generator, "time", SimpleNamespace(monotonic=lambda: float(expanded[0])))
+    return expanded
+
+
+def test_budget_is_read_inside_a_subtree(monkeypatch):
+    """The first subtree of q=4, n_max=140 runs for seconds; the clock is
+    read every CLOCK_EVERY states inside it, so the run stops at most that
+    many states past its budget."""
+    expanded = _clock_of_expanded_states(monkeypatch)
+    res = generate_q6(GenSpec(q=4, n_max=140), budget_seconds=5000.0)
+    assert res.truncated
+    assert 5000 < expanded[0] <= 5000 + generator.CLOCK_EVERY
+
+
+def test_budget_bounds_a_real_run():
+    start = time.monotonic()
+    res = generate_q6(GenSpec(q=4, n_max=140), budget_seconds=0.2)
+    assert res.truncated
+    assert time.monotonic() - start < 5.0  # a whole subtree took seconds
+
+
+def test_checkpoint_after_a_cut_inside_a_subtree(tmp_path, monkeypatch):
+    """A subtree cut by the budget does not count as done: the checkpoint
+    keeps the subtrees finished before it, and resuming from it gives the
+    full run."""
+    spec = GenSpec(q=4, n_max=28)
+    fresh = generate_q6(spec)
+    monkeypatch.setattr(generator, "CLOCK_EVERY", 16)
+    expanded = _clock_of_expanded_states(monkeypatch)
+    # the clock reading at the end of each subtree of an uncut run
+    ends = []
+    save = generator._save_checkpoint
+
+    def recording(path, spec, done, rows):
+        ends.append(expanded[0])
+        save(path, spec, done, rows)
+
+    monkeypatch.setattr(generator, "_save_checkpoint", recording)
+    generate_q6(spec, checkpoint_path=str(tmp_path / "uncut.json"))
+    # a subtree of more than CLOCK_EVERY states; its first clock reading
+    # inside it is past a budget that ends where it starts
+    cut = next(i for i in range(1, len(ends)) if ends[i] - ends[i - 1] > 16)
+    path = tmp_path / "ckpt.json"
+    expanded[0] = 0
+    res = generate_q6(spec, budget_seconds=float(ends[cut - 1]), checkpoint_path=str(path))
+    assert res.truncated
+    assert expanded[0] <= ends[cut - 1] + 16 < ends[cut]
+    assert json.loads(path.read_text())["done"] == cut
+    monkeypatch.undo()
+    resumed = generate_q6(spec, checkpoint_path=str(path))
+    assert not resumed.truncated
+    assert resumed.codes == fresh.codes
+    assert _plc(resumed.graphs) == _plc(fresh.graphs)
+
+
 def _plc(graphs) -> bytes:
     buf = io.BytesIO()
     write_planar_code(graphs, buf)
@@ -199,6 +266,16 @@ def _graph_row(g, subtree: int = 0) -> dict:
     return {"subtree": subtree, "sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
 
 
+def _growth_tree(growth):
+    """Every state of the growth tree, parents before their children."""
+    stack = [growth.initial()]
+    while stack:
+        state = stack.pop()
+        yield state
+        if state[4] < 3 * state[1]:
+            stack.extend(growth.children(state))
+
+
 @pytest.mark.parametrize("q, n_max", [(3, 32), (4, 28), (5, 24)])
 def test_growth_states_are_distinct_patches(q, n_max):
     """No two incomplete states of the growth tree are the same rooted
@@ -206,16 +283,70 @@ def test_growth_states_are_distinct_patches(q, n_max):
     growth = generator._Growth(q, n_max)
     keys = set()
     states = 0
-    stack = [growth.initial()]
-    while stack:
-        state = stack.pop()
+    for state in _growth_tree(growth):
         if state[4] >= 3 * state[1]:
             continue
         keys.add(growth.rooted_key(state))
         states += 1
-        stack.extend(growth.children(state))
     assert states > 1000
     assert len(keys) == states
+
+
+def _face_walks(alpha, used):
+    """The open chains, as (head, tail, darts), and the closed faces, as
+    dart lists, of a partial map, walked from alpha alone."""
+    nd = 3 * used
+    succ = [3 * (a // 3) + (a + 1) % 3 if a >= 0 else None for a in alpha[:nd]]
+    has_pred = {x for x in succ if x is not None}
+    chains, on_chain = [], set()
+    for head in range(nd):
+        if head in has_pred:
+            continue
+        darts = [head]
+        while succ[darts[-1]] is not None:
+            darts.append(succ[darts[-1]])
+        chains.append((head, darts[-1], darts))
+        on_chain.update(darts)
+    faces, seen = [], set(on_chain)
+    for start in range(nd):
+        if start not in seen:
+            face = [start]
+            while succ[face[-1]] != start:
+                face.append(succ[face[-1]])
+            faces.append(face)
+            seen.update(face)
+    return chains, faces
+
+
+# incomplete states and completions of the growth tree as the face chains
+# were walked before the chain tables: the tree must stay node for node
+GROWTH_TREE_SIZES = {(3, 32): (1032, 56), (4, 28): (4238, 140), (5, 24): (8325, 6)}
+
+
+@pytest.mark.parametrize("q, n_max", list(GROWTH_TREE_SIZES))
+def test_chain_tables_match_a_walk_of_alpha(q, n_max):
+    """At every state of the tree, the chain tables give each open chain's
+    other end and length (offset on the chain of dart 0), the next fresh
+    vertex's darts are one-dart chains, and count_q counts the closed
+    q-gons."""
+    root = generator._ROOT_FACE
+    incomplete = complete = 0
+    for alpha, used, _, count_q, low, other, clen in _growth_tree(generator._Growth(q, n_max)):
+        chains, faces = _face_walks(alpha, used)
+        for head, tail, darts in chains:
+            length = len(darts) + (root if 0 in darts else 0)
+            assert (other[head], other[tail]) == (tail, head)
+            assert clen[head] == clen[tail] == length
+        nd = 3 * used
+        assert len(other) == len(clen) == nd + 3
+        assert other[nd:] == [nd, nd + 1, nd + 2] and clen[nd:] == [1, 1, 1]
+        assert count_q == sum(len(face) == q for face in faces)
+        if low >= nd:
+            assert not chains
+            complete += 1
+        else:
+            incomplete += 1
+    assert (incomplete, complete) == GROWTH_TREE_SIZES[q, n_max]
 
 
 @pytest.mark.parametrize("q", [4, 5])

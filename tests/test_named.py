@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hexcube import PlaneGraph, canonical_code, face_vector, is_q6, make_named
+from hexcube import PlaneGraph, canonical_code, face_vector, is_q6, make_named, named_graph_names
 from hexcube.named import _twisted_faces, prism
 
 
@@ -62,3 +62,11 @@ def test_make_named_parsing():
     assert make_named("Cube").n_vertices == 8
     with pytest.raises(ValueError):
         make_named("dodecahedron")
+
+
+def test_every_listed_name_is_accepted():
+    for name in named_graph_names():
+        assert make_named(name).n_vertices >= 4
+    # the prism family is named by its literal K, which the error text gives
+    with pytest.raises(ValueError, match=r"or prism\(K\) with K >= 3"):
+        make_named("prism(k)")
