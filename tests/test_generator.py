@@ -228,7 +228,8 @@ def test_checkpoint_after_a_cut_inside_a_subtree(tmp_path, monkeypatch):
     full run."""
     spec = GenSpec(q=4, n_max=28)
     fresh = generate_q6(spec)
-    monkeypatch.setattr(generator, "CLOCK_EVERY", 16)
+    every = 16
+    monkeypatch.setattr(generator, "CLOCK_EVERY", every)
     expanded = _clock_of_expanded_states(monkeypatch)
     # the clock reading at the end of each subtree of an uncut run
     ends = []
@@ -242,12 +243,12 @@ def test_checkpoint_after_a_cut_inside_a_subtree(tmp_path, monkeypatch):
     generate_q6(spec, checkpoint_path=str(tmp_path / "uncut.json"))
     # a subtree of more than CLOCK_EVERY states; its first clock reading
     # inside it is past a budget that ends where it starts
-    cut = next(i for i in range(1, len(ends)) if ends[i] - ends[i - 1] > 16)
+    cut = next(i for i in range(1, len(ends)) if ends[i] - ends[i - 1] > every)
     path = tmp_path / "ckpt.json"
     expanded[0] = 0
     res = generate_q6(spec, budget_seconds=float(ends[cut - 1]), checkpoint_path=str(path))
     assert res.truncated
-    assert expanded[0] <= ends[cut - 1] + 16 < ends[cut]
+    assert expanded[0] <= ends[cut - 1] + every < ends[cut]
     assert json.loads(path.read_text())["done"] == cut
     monkeypatch.undo()
     resumed = generate_q6(spec, checkpoint_path=str(path))
