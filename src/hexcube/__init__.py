@@ -4,12 +4,15 @@ Exhaustive isomorph-free generation, isometric hypercube embedding
 (partial-cube recognition with certificates), pentagonal-inequality scans,
 zone analysis and Goldberg-Coxeter subdivision of the cube, plus planar_code
 interchange and a command-line front end.
+
+Every name exported here is run by the command line, the reports or the
+benchmark, or is the one definition of its concept.  Reference
+implementations that exist only to check these (a brute-force enumerator,
+an isomorphism search, zone predicates) live beside the tests.
 """
 
-from .bruteforce import enumerate_rotation_maps
 from .canonical import (
     CanonicalForm,
-    are_isomorphic,
     automorphism_count,
     canonical_code,
     canonical_form,
@@ -29,7 +32,6 @@ from .embedding import (
     recognize_partial_cube,
     search_halfcube_embedding,
     search_scale_embedding,
-    t_embed_obstruction,
     theta_classes,
     verify_scale_embedding,
 )
@@ -45,11 +47,9 @@ from .planar_code import (
 )
 from .plane_graph import (
     Bipartition,
-    Face,
     MapError,
     PlaneGraph,
     all_pairs_distances,
-    alpha,
     bipartition,
     dual,
     face_vector,
@@ -72,9 +72,6 @@ from .reports import (
 from .zones import (
     OddFaceError,
     Zone,
-    edge_based_self_intersection,
-    face_isometric,
-    opposite_edge,
     trace_zones,
     zone_clean,
     zone_report,

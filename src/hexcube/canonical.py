@@ -101,8 +101,9 @@ def _root_orientations(g: PlaneGraph):
     sigma = g.sigma
     size = [0] * len(sigma)
     for f in g.faces:
-        for d in f.darts:
-            size[d] = f.size
+        s = len(f)
+        for d in f:
+            size[d] = s
     fmin = min(size)
     return (
         (sigma, [d for d, s in enumerate(size) if s == fmin]),
@@ -170,42 +171,3 @@ def automorphism_count(g: PlaneGraph) -> int:
 def is_chiral(g: PlaneGraph) -> bool:
     """True when the map admits no orientation-reversing automorphism."""
     return canonical_form(g).chiral
-
-
-def _try_dart_map(gs, hs, root: int) -> bool:
-    """Propagate dart 0 of g -> root of h along sigma and alpha."""
-    nd = len(gs)
-    image = [-1] * nd
-    used = [False] * nd
-    image[0] = root
-    used[root] = True
-    stack = [0]
-    while stack:
-        d = stack.pop()
-        for gn, hn in ((gs[d], hs[image[d]]), (d ^ 1, image[d] ^ 1)):
-            if image[gn] < 0:
-                if used[hn]:
-                    return False
-                image[gn] = hn
-                used[hn] = True
-                stack.append(gn)
-            elif image[gn] != hn:
-                return False
-    return all(x >= 0 for x in image)
-
-
-def are_isomorphic(g: PlaneGraph, h: PlaneGraph, include_reflection: bool = True) -> bool:
-    """Explicit isomorphism search by dart-correspondence propagation.
-
-    Independent of canonical_code; used to cross-check it on small inputs.
-    """
-    if g.dart_count != h.dart_count:
-        return False
-    targets = [h.sigma]
-    if include_reflection:
-        targets.append(sigma_inverse(h.sigma))
-    for hs in targets:
-        for root in range(h.dart_count):
-            if _try_dart_map(g.sigma, hs, root):
-                return True
-    return False

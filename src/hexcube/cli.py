@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 usage error, 3 budget truncation,
-4 verification mismatch.  Data goes to stdout (or -o), progress to stderr;
-all commands are deterministic for a fixed configuration.
+Exit codes: 0 success, 1 input or output error (an unreadable input or an
+unwritable -o path), 2 usage error, 3 budget truncation, 4 verification
+mismatch.  Data goes to stdout (or -o), progress to stderr; all commands
+are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -259,9 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INPUT if isinstance(exc, OSError) else EXIT_USAGE
 
 
 def entry() -> None:

@@ -44,12 +44,6 @@ class ThetaClasses:
     m: int
     intransitive: tuple[int, int, int] | None
 
-    def as_edge_sets(self) -> list[frozenset[int]]:
-        out: list[set[int]] = [set() for _ in range(self.m)]
-        for e, c in enumerate(self.class_of):
-            out[c].add(e)
-        return [frozenset(s) for s in out]
-
 
 @dataclass(frozen=True)
 class HypercubeEmbedding:
@@ -116,17 +110,6 @@ class FiveGonalWitness:
     z: int
     deficit: int
     diameter: int
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "deficit": self.deficit,
-            "diameter": self.diameter,
-        }
 
 
 # -- edge classes ----------------------------------------------------------
@@ -324,21 +307,6 @@ def is_five_gonal(dist: np.ndarray) -> bool:
     return not five_gonal_scan(dist, stop_at_first=True)
 
 
-def t_embed_obstruction(dist: np.ndarray) -> int | None:
-    """Smallest t0 such that some 5-gonal violation has all its pairwise
-    distances <= t0.
-
-    A distance-preserving map up to range t sends such a five-point
-    configuration isometrically into a hypercube, whose metric satisfies all
-    pentagonal inequalities; hence no t-embedding exists for t >= t0.
-    Returns None when the metric is 5-gonal.
-    """
-    witnesses = five_gonal_scan(dist)
-    if not witnesses:
-        return None
-    return min(w.diameter for w in witnesses)
-
-
 # -- backtracking search for scale embeddings -------------------------------
 
 
@@ -348,7 +316,6 @@ class EmbeddingSearchOutcome:
 
     status: str
     embedding: HypercubeEmbedding | None
-    placements: int
 
     def __bool__(self) -> bool:
         return self.status == "found"
@@ -433,7 +400,7 @@ def search_scale_embedding(
 
     status = place(1) if n > 1 else "found"
     if status != "found":
-        return EmbeddingSearchOutcome(status=status, embedding=None, placements=placements)
+        return EmbeddingSearchOutcome(status=status, embedding=None)
     phi = [frozenset()] * n
     for i, v in enumerate(order):
         phi[v] = frozenset(b for b in range(m) if images[i] >> b & 1)
@@ -441,7 +408,7 @@ def search_scale_embedding(
     ok, bad = verify_scale_embedding(g, emb, dist)
     if not ok:
         raise InvariantError(f"search returned a non-embedding, pair {bad}")
-    return EmbeddingSearchOutcome(status="found", embedding=emb, placements=placements)
+    return EmbeddingSearchOutcome(status="found", embedding=emb)
 
 
 def search_halfcube_embedding(

@@ -34,10 +34,6 @@ def _rot(p: Pt, times: int) -> Pt:
     return p
 
 
-def _add(p: Pt, q: Pt) -> Pt:
-    return (p[0] + q[0], p[1] + q[1])
-
-
 def _sub(p: Pt, q: Pt) -> Pt:
     return (p[0] - q[0], p[1] - q[1])
 

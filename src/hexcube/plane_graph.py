@@ -4,7 +4,9 @@ Darts are dense 0-based integers.  Dart ``d`` and ``d ^ 1`` are the two
 oriented sides of edge ``d >> 1``, so the edge-reversal involution alpha
 never needs to be stored.  ``sigma[d]`` is the next dart counterclockwise
 around the vertex of ``d``; faces are the orbits of ``d -> sigma[d ^ 1]``,
-traced with the face interior on the left.
+traced with the face interior on the left.  A face is the tuple of its
+darts in that order, so its size is its length and the edges along it are
+``d >> 1`` for its darts.
 """
 
 from __future__ import annotations
@@ -21,34 +23,12 @@ class MapError(ValueError):
     """The input does not describe a simple connected genus-0 map."""
 
 
-def alpha(d: int) -> int:
-    """Edge reversal: the opposite dart of the same edge."""
-    return d ^ 1
-
-
 def sigma_inverse(sigma: Sequence[int]) -> tuple[int, ...]:
     """The inverse rotation: the next dart clockwise around each vertex."""
     inv = [0] * len(sigma)
     for d, s in enumerate(sigma):
         inv[s] = d
     return tuple(inv)
-
-
-@dataclass(frozen=True)
-class Face:
-    """One face, as the cyclic dart sequence along its boundary."""
-
-    darts: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.darts)
-
-    def edges(self) -> tuple[int, ...]:
-        return tuple(d >> 1 for d in self.darts)
-
-    def vertices(self, g: "PlaneGraph") -> tuple[int, ...]:
-        return tuple(g.vertex_of[d] for d in self.darts)
 
 
 @dataclass(frozen=True)
@@ -145,7 +125,7 @@ class PlaneGraph:
     # -- derived structure (cached, instances are immutable) ---------------
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of d -> sigma[d ^ 1], each rotated to start at its least dart."""
         sigma = self.sigma
         nd = len(sigma)
@@ -160,14 +140,14 @@ class PlaneGraph:
                 seen[d] = True
                 cyc.append(d)
                 d = sigma[d ^ 1]
-            out.append(Face(darts=tuple(cyc)))
+            out.append(tuple(cyc))
         return tuple(out)
 
     @cached_property
     def face_of_dart(self) -> tuple[int, ...]:
         idx = [0] * self.dart_count
         for i, f in enumerate(self.faces):
-            for d in f.darts:
+            for d in f:
                 idx[d] = i
         return tuple(idx)
 
@@ -194,9 +174,6 @@ class PlaneGraph:
         return tuple(
             tuple(self.vertex_of[d ^ 1] for d in darts) for darts in self.darts_at
         )
-
-    def degree(self, v: int) -> int:
-        return len(self.darts_at[v])
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         return self.vertex_of[2 * e], self.vertex_of[2 * e + 1]
@@ -297,7 +274,7 @@ class PlaneGraph:
 
 def face_vector(g: PlaneGraph) -> Counter:
     """Multiset of face sizes, e.g. Counter({4: 6}) for the cube."""
-    return Counter(f.size for f in g.faces)
+    return Counter(map(len, g.faces))
 
 
 def is_three_valent(g: PlaneGraph) -> bool:
@@ -310,7 +287,7 @@ def is_q6(g: PlaneGraph, q: int) -> bool:
     Connectivity holds for every PlaneGraph by construction, so this is a
     total predicate on valid maps.
     """
-    return is_three_valent(g) and all(f.size in (q, 6) for f in g.faces)
+    return is_three_valent(g) and all(len(f) in (q, 6) for f in g.faces)
 
 
 # -- metric ---------------------------------------------------------------
@@ -445,7 +422,7 @@ def truncate(g: PlaneGraph) -> PlaneGraph:
         cycles.append(cyc)
     for f in g.faces:
         cyc = []
-        for d in f.darts:
+        for d in f:
             cyc.append(d)
             cyc.append(d ^ 1)
         cycles.append(cyc)

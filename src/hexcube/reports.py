@@ -60,7 +60,16 @@ def theorem_graph_codes() -> dict[bytes, str]:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Everything the pipelines need to know about one graph."""
+    """Everything the pipelines need to know about one graph.
+
+    t_obstruction is the smallest diameter t0 of a 5-gonal witness, that is
+    the least t0 such that some violated pentagonal inequality has all its
+    pairwise distances <= t0; None when the metric is 5-gonal or only the
+    first witness was sought.  A map that preserves distances up to t >= t0
+    sends that five-point configuration isometrically into a hypercube,
+    whose metric satisfies every pentagonal inequality, so no t-embedding
+    exists for any t >= t0.
+    """
 
     n: int
     code: str
@@ -90,7 +99,6 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
     if five_gonal not in FIVE_GONAL_MODES:
         raise ValueError(f"five_gonal must be one of {FIVE_GONAL_MODES}, not {five_gonal!r}")
     fv = dict(face_vector(g))
-    bip = bool(bipartition(g))
     all_even = all(s % 2 == 0 for s in fv)
     zones = trace_zones(g) if all_even else None
     dist = all_pairs_distances(g)
@@ -110,7 +118,7 @@ def check_graph(g: PlaneGraph, five_gonal: str = "full") -> CheckReport:
         three_valent=is_three_valent(g),
         three_connected=is_three_connected(g),
         face_vector=fv,
-        bipartite=bip,
+        bipartite=rec.failure is None or rec.failure.kind != "odd_cycle",
         zone_count=len(zones) if zones is not None else None,
         zone_clean=(
             not any(z.self_intersecting for z in zones) if zones is not None else None
@@ -209,7 +217,6 @@ class ZoneSurveyReport:
     n_max: int
     total_generated: int
     survivors: list[dict] = field(default_factory=list)
-    counts: dict[int, int] = field(default_factory=dict)
     truncated: bool = False
     embeddable_subset_ok: bool = True
     gc_status: list[dict] = field(default_factory=list)
@@ -251,8 +258,6 @@ def reproduce_zone_computation(
     report = ZoneSurveyReport(
         n_max=n_max, total_generated=len(gen.graphs), truncated=gen.truncated
     )
-    for g in gen.graphs:
-        report.counts[g.n_vertices] = report.counts.get(g.n_vertices, 0) + 1
     survivor_codes = set()
     for g, code in zip(gen.graphs, gen.codes):
         clean = zone_clean(g)

@@ -2,10 +2,11 @@
 
 Zones are defined for plane graphs whose faces all have even size.  The
 circuit through an edge enters a face, leaves through the opposite edge,
-and continues on the other side of that edge; a zone is self-intersecting
-when it visits some face more than once.  Zone edge sets partition the
-edges, and on the hypercube-embeddable graphs they coincide with the edge
-classes, which is what makes zone cleanliness a fast necessary filter for
+and continues on the other side of that edge; ``trace_zones`` is the one
+place that steps to the opposite edge.  A zone is self-intersecting when it
+visits some face more than once.  Zone edge sets partition the edges, and
+on the hypercube-embeddable graphs they coincide with the edge classes,
+which is what makes zone cleanliness a fast necessary filter for
 embeddability.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plane_graph import Face, PlaneGraph, all_pairs_distances
+from .plane_graph import PlaneGraph
 
 
 class OddFaceError(ValueError):
@@ -32,39 +33,24 @@ class Zone:
     def length(self) -> int:
         return len(self.crossings)
 
-    def faces(self) -> tuple[int, ...]:
-        return tuple(f for f, _ in self.crossings)
-
-
-def opposite_edge(g: PlaneGraph, face: Face, edge: int) -> int:
-    """The edge half way around an even face from the given one."""
-    if face.size % 2 != 0:
-        raise OddFaceError(f"face of size {face.size} has no opposite edges")
-    edges = face.edges()
-    try:
-        pos = edges.index(edge)
-    except ValueError:
-        raise ValueError(f"edge {edge} is not on this face") from None
-    return edges[(pos + face.size // 2) % face.size]
-
 
 def trace_zones(g: PlaneGraph) -> tuple[Zone, ...]:
     """All zones, each traced once, the one through the least unvisited edge
     first.  A traversal and its reverse are the same zone."""
     faces = g.faces
     for f in faces:
-        if f.size % 2 != 0:
+        if len(f) % 2 != 0:
             raise OddFaceError("zones need all faces even")
     face_of = g.face_of_dart
     # position of each dart inside its face, for O(1) opposite-dart steps
     pos_in_face = [0] * g.dart_count
     for f in faces:
-        for i, d in enumerate(f.darts):
+        for i, d in enumerate(f):
             pos_in_face[d] = i
 
     def step(d: int) -> int:
         f = faces[face_of[d]]
-        opp = f.darts[(pos_in_face[d] + f.size // 2) % f.size]
+        opp = f[(pos_in_face[d] + len(f) // 2) % len(f)]
         return opp ^ 1
 
     visited = [False] * g.n_edges
@@ -101,33 +87,6 @@ def zone_clean(g: PlaneGraph) -> bool:
     any isometric hypercube embedding: this predicate is a necessary filter.
     """
     return not any(z.self_intersecting for z in trace_zones(g))
-
-
-def edge_based_self_intersection(g: PlaneGraph, zone: Zone) -> bool:
-    """Edge-based self-intersection: some face keeps more than one of its
-    opposite-edge pairs inside the zone.
-
-    Equivalent to the face-based flag because every visit to a face enters
-    and leaves through one full opposite pair; asserted equal in the tests.
-    """
-    for f in g.faces:
-        if sum(1 for e in f.edges() if e in zone.edges) > 2:
-            return True
-    return False
-
-
-def face_isometric(g: PlaneGraph) -> bool:
-    """Do shortest paths between vertices of any face stay on that face?"""
-    dist = all_pairs_distances(g)
-    for f in g.faces:
-        vs = f.vertices(g)
-        s = len(vs)
-        for i in range(s):
-            for j in range(i + 1, s):
-                arc = min(j - i, s - (j - i))
-                if dist[vs[i], vs[j]] != arc:
-                    return False
-    return True
 
 
 def zone_report(g: PlaneGraph) -> dict:

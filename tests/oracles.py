@@ -1,24 +1,28 @@
-"""Brute-force reference enumeration used to certify the main generator.
+"""Reference implementations that the tests check the package against.
 
-This is a deliberately plain depth-first search: vertices carry dart
-triples (3v, 3v+1, 3v+2) with the rotation fixed, and every fixed-point
-free dart matching is explored.  The lowest unmatched dart is always
-matched next, either to an unmatched dart of an existing vertex or to a
-fresh vertex, so each rooted map arises from exactly one branch;
-isomorphism classes are therefore produced with multiplicity (roughly one
-copy per rooted start) and duplicates are NOT removed here.
+* ``enumerate_rotation_maps`` is a brute-force enumeration of rooted maps.
+  It is a deliberately plain depth-first search: vertices carry dart
+  triples (3v, 3v+1, 3v+2) with the rotation fixed, and every fixed-point
+  free dart matching is explored.  The lowest unmatched dart is always
+  matched next, either to an unmatched dart of an existing vertex or to a
+  fresh vertex, so each rooted map arises from exactly one branch;
+  isomorphism classes are therefore produced with multiplicity (roughly
+  one copy per rooted start) and duplicates are NOT removed here.
 
-Pruning keeps only what is obviously sound: no loops, no parallel edges,
-no face walk longer than six darts, closed faces of size q or 6 with the
-Euler-forced cap on q-gons.  Every completed matching is rebuilt and
-re-checked with the public predicates (which also discards the rotation
-systems of positive genus), so the pruning is not trusted for the final
-answer.
+  Pruning keeps only what is obviously sound: no loops, no parallel edges,
+  no face walk longer than six darts, closed faces of size q or 6 with the
+  Euler-forced cap on q-gons.  Every completed matching is rebuilt and
+  re-checked with the public predicates (which also discards the rotation
+  systems of positive genus), so the pruning is not trusted for the final
+  answer.
+* ``are_isomorphic`` is an explicit isomorphism search by dart
+  propagation, and ``_try_dart_map`` its single-root step; they cross-check
+  the canonical codes, the automorphism counts and chirality.
 """
 
 from __future__ import annotations
 
-from .plane_graph import MapError, PlaneGraph, is_q6
+from hexcube.plane_graph import MapError, PlaneGraph, is_q6, sigma_inverse
 
 _Q_CAP = {3: 4, 4: 6, 5: 12}
 
@@ -146,3 +150,42 @@ def enumerate_rotation_maps(q: int, n_max: int) -> list[PlaneGraph]:
     adjacent.add((0, 1))
     extend(2, 0)
     return results
+
+
+def _try_dart_map(gs, hs, root: int) -> bool:
+    """Propagate dart 0 of g -> root of h along sigma and alpha."""
+    nd = len(gs)
+    image = [-1] * nd
+    used = [False] * nd
+    image[0] = root
+    used[root] = True
+    stack = [0]
+    while stack:
+        d = stack.pop()
+        for gn, hn in ((gs[d], hs[image[d]]), (d ^ 1, image[d] ^ 1)):
+            if image[gn] < 0:
+                if used[hn]:
+                    return False
+                image[gn] = hn
+                used[hn] = True
+                stack.append(gn)
+            elif image[gn] != hn:
+                return False
+    return all(x >= 0 for x in image)
+
+
+def are_isomorphic(g: PlaneGraph, h: PlaneGraph, include_reflection: bool = True) -> bool:
+    """Explicit isomorphism search by dart-correspondence propagation.
+
+    Independent of canonical_code; used to cross-check it on small inputs.
+    """
+    if g.dart_count != h.dart_count:
+        return False
+    targets = [h.sigma]
+    if include_reflection:
+        targets.append(sigma_inverse(h.sigma))
+    for hs in targets:
+        for root in range(h.dart_count):
+            if _try_dart_map(g.sigma, hs, root):
+                return True
+    return False

@@ -16,7 +16,7 @@ from hexcube import (
     GenSpec,
     all_pairs_distances,
     canonical_code,
-    enumerate_rotation_maps,
+    check_graph,
     five_gonal_scan,
     generate_q6,
     goldberg_coxeter_cube,
@@ -24,12 +24,12 @@ from hexcube import (
     recognize_partial_cube,
     search_halfcube_embedding,
     search_scale_embedding,
-    t_embed_obstruction,
     theta_classes,
     verify_theorem,
 )
 from hexcube.cli import main
 from hexcube.plane_graph import PlaneGraph
+from oracles import enumerate_rotation_maps
 
 FIVE = {
     "cube": 3,
@@ -154,7 +154,7 @@ def test_criterion_3_label_properties():
             ok &= len(set(labels)) == len(labels)
         # opposite edges share a class; 2 classes per square, 3 per hexagon
         for f in g.faces:
-            edges = f.edges()
+            edges = [d >> 1 for d in f]
             s = len(edges)
             half = s // 2
             for i in range(half):
@@ -170,7 +170,7 @@ def test_criterion_3_label_properties():
         for f in g.faces:
             from collections import Counter
 
-            counts = Counter(cls[e] for e in f.edges())
+            counts = Counter(cls[d >> 1] for d in f)
             ok &= all(c % 2 == 0 for c in counts.values())
         checked += 1
     _report("3 (label properties on the five embedded graphs)", ok, f"graphs={checked}")
@@ -238,7 +238,7 @@ def test_criterion_6_spot_checks():
     tt = make_named("truncated_tetrahedron")
     dist = all_pairs_distances(tt)
     witnesses = five_gonal_scan(dist, stop_at_first=True)
-    tt_ok = bool(witnesses) and t_embed_obstruction(dist) == 3
+    tt_ok = bool(witnesses) and check_graph(tt).t_obstruction == 3
 
     tetra = make_named("tetrahedron")
     h3 = search_halfcube_embedding(tetra, 3).status == "found"

@@ -141,6 +141,20 @@ def test_gc_writes_nothing_when_a_graph_cannot_be_encoded(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [("generate", "-q", "4", "--nmax", "12"), ("gc", "-k", "1", "-l", "0")],
+    ids=["generate", "gc"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys, argv, target):
+    path = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, *argv, "-o", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_theorem_small_bound(capsys):
     code, out, _ = run(capsys, "verify-theorem", "--nmax", "8")
     assert code == 4

@@ -25,7 +25,6 @@ from hexcube import (
     reproduce_zone_computation,
     search_halfcube_embedding,
     search_scale_embedding,
-    t_embed_obstruction,
     theta_classes,
     verify_scale_embedding,
 )
@@ -53,7 +52,7 @@ def test_theta_class_counts(named_graphs):
 
 def test_theta_cube_classes_are_parallel_quadruples(named_graphs):
     th = theta_classes(named_graphs["cube"])
-    sizes = sorted(len(s) for s in th.as_edge_sets())
+    sizes = sorted(th.class_of.count(c) for c in range(th.m))
     assert sizes == [4, 4, 4]
 
 
@@ -234,7 +233,7 @@ def test_truncated_tetrahedron_obstruction(named_graphs):
     witnesses = five_gonal_scan(dist)
     assert witnesses
     assert min(w.diameter for w in witnesses) == 3
-    assert t_embed_obstruction(dist) == 3
+    assert check_graph(g).t_obstruction == 3
     first = five_gonal_scan(dist, stop_at_first=True)
     assert first == [witnesses[0]]
     for w in witnesses:
@@ -292,12 +291,12 @@ def test_witness_deficit_matches_metric(named_graphs):
 
 
 def test_cube_has_no_obstruction(named_graphs):
-    assert t_embed_obstruction(all_pairs_distances(named_graphs["cube"])) is None
+    assert check_graph(named_graphs["cube"]).t_obstruction is None
 
 
 def test_dual_chamfered_cube_not_three_embeddable(named_graphs):
     d = dual(named_graphs["chamfered_cube"])
-    t0 = t_embed_obstruction(all_pairs_distances(d))
+    t0 = check_graph(d).t_obstruction
     assert t0 is not None and t0 <= 3
 
 
