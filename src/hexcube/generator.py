@@ -193,8 +193,8 @@ class _Growth:
                     continue
                 nq = 0
                 tail_h = other[h]
-                # the joined chain may be the one that nxt[d] heads; one that
-                # ends at e makes d-e a bridge, and fails fits below either way
+                # the joined chain may be the one that nxt[d] heads; one ending
+                # at e (d-e a bridge) fails fits below on e's old chain too
                 if head_d == next_d:
                     tail_into, len_into = tail_h, joined
             if head_e == next_d:  # e's chain closes into a face
