@@ -9,8 +9,10 @@ are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -27,7 +29,6 @@ from .reports import (
     check_many,
     code_digest,
     generation_summary,
-    reports_to_jsonl,
     reproduce_zone_computation,
     verify_theorem,
 )
@@ -61,6 +62,23 @@ def _reads_graphs(cmd):
     return run
 
 
+def _json_line(row: dict) -> str:
+    """One compact JSON line with sorted keys, the form of every JSON-lines
+    output."""
+    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _refuse_unwritable(path: str | None) -> None:
+    """Raise OSError when path is a directory or its directory is missing,
+    so that a run learns it before doing its work and creates no file."""
+    if path in (None, "-"):
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _write_graphs(
     graphs: list[PlaneGraph], codes: Iterable[bytes], fmt: str, path: str | None
 ) -> None:
@@ -84,9 +102,7 @@ def _write_graphs(
             }
             for g, code in zip(graphs, codes)
         )
-        data = "".join(
-            json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows
-        ).encode()
+        data = "".join(map(_json_line, rows)).encode()
     if path in (None, "-"):
         sys.stdout.buffer.write(data)
     else:
@@ -95,6 +111,7 @@ def _write_graphs(
 
 
 def cmd_generate(args) -> int:
+    _refuse_unwritable(args.output)
     result = generate_q6(GenSpec(q=args.q, n_max=args.nmax), budget_seconds=args.budget)
     kept = list(zip(result.graphs, result.codes))
     for name in args.filter:
@@ -109,7 +126,8 @@ def cmd_generate(args) -> int:
 
 @_reads_graphs
 def cmd_check(args, graphs) -> int:
-    sys.stdout.write(reports_to_jsonl(check_many(graphs, five_gonal=args.five_gonal)))
+    for report in check_many(graphs, five_gonal=args.five_gonal):
+        sys.stdout.write(_json_line(report.to_json()))
     return EXIT_OK
 
 
@@ -134,16 +152,12 @@ def cmd_zone_survey(args) -> int:
 @_reads_graphs
 def cmd_zones(args, graphs) -> int:
     for g in graphs:
-        print(json.dumps(zone_report(g), sort_keys=True, separators=(",", ":")))
+        sys.stdout.write(_json_line(zone_report(g)))
     return EXIT_OK
 
 
 def cmd_gc(args) -> int:
-    try:
-        g = goldberg_coxeter_cube(args.k, args.l)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = goldberg_coxeter_cube(args.k, args.l)
     _write_graphs([g], map(canonical_code, [g]), args.format, args.output)
     return EXIT_OK
 
@@ -156,7 +170,7 @@ def cmd_embed_halfcube(args, graphs) -> int:
         row = {"n": g.n_vertices, "m": args.m, "status": outcome.status}
         if outcome.embedding is not None:
             row.update(outcome.embedding.to_json())
-        print(json.dumps(row, sort_keys=True, separators=(",", ":")))
+        sys.stdout.write(_json_line(row))
         if outcome.status == "inconclusive":
             status = EXIT_TRUNCATED
     return status

@@ -19,7 +19,6 @@ each either closes a chain into a face or joins two chains into one, so a
 candidate edge is judged from a few table reads, and only an accepted
 child copies the tables.  Pruning is exact:
 
-  * no loops or parallel edges,
   * partial face chains never exceed six darts and closed faces must be
     q- or 6-gons, with the Euler-forced cap on the number of q-gons,
   * the face of dart 0, the root face, never exceeds q darts and closes as
@@ -46,6 +45,17 @@ Every face of a completion is a q- or 6-gon, so Euler's formula for a
 3-valent map gives it the characteristic f_q (6 - q) / 6, and the root face
 makes f_q positive: every completion is a plane map, and none is rejected
 for its genus.
+
+The growth does not check for loops or parallel edges, because the face
+rules already reject every completion that has one (a partial map may hold
+a parallel pair; it has no completion).  A loop at a 3-valent vertex bounds a
+one-dart face, which fails as soon as it closes.  Take an innermost parallel
+pair u-v.  If both third edges leave on one side, the other side is a
+two-dart face.  Otherwise one third edge x is a bridge into the pair's inner
+side, and the face along that side holds the pair's 2 darts, x's 2 darts and
+at least 3 darts around what x leads to: 7 or more, more than any chain may
+hold.  finish still builds a validated PlaneGraph, so a gap in this argument
+would raise MapError rather than give a wrong answer.
 """
 
 from __future__ import annotations
@@ -118,9 +128,8 @@ class _Growth:
     """Shared tables and the extension step of the patch growth."""
 
     def __init__(self, q: int, n_max: int) -> None:
-        self.n_max = n_max
         self.two_colored = q % 2 == 0
-        nd = 3 * n_max
+        self.max_darts = nd = 3 * n_max
         nxt = [0] * nd
         for v in range(n_max):
             b = 3 * v
@@ -139,8 +148,9 @@ class _Growth:
         self.fits = [s <= 6 or root < s <= root + q for s in range(2 * root)]
         self.wide = nd + 1 > 255  # dart positions no longer fit in one byte
 
-    # state: (alpha, used, colors, count_q, low, other, clen); other and clen
-    # cover the darts of the used vertices and of the next fresh vertex
+    # state: (alpha, colors, count_q, low, other, clen); alpha covers the
+    # darts of the used vertices, other and clen those and the next fresh
+    # vertex's
     def initial(self):
         alpha = [-1] * 6
         alpha[0], alpha[3] = 3, 0
@@ -149,19 +159,15 @@ class _Growth:
         # 2 and 5, and the fresh vertex's darts 6, 7, 8
         other = [4, 3, 2, 1, 0, 5, 6, 7, 8]
         clen = [_ROOT_FACE + 2, 2, 1, 2, _ROOT_FACE + 2, 1, 1, 1, 1]
-        return (alpha, 2, colors, 0, 1, other, clen)
+        return (alpha, colors, 0, 1, other, clen)
 
     def children(self, state):
         """All legal one-edge extensions, in deterministic order."""
-        alpha, used, colors, count_q, low, other, clen = state
+        alpha, colors, count_q, low, other, clen = state
         nxt, closing, fits = self.nxt, self.closing, self.fits
         d = low
         vd = d // 3
-        # vd's darts: a partner vertex met among their images would close a
-        # parallel edge (an unmatched dart gives -1 // 3 == -1, no vertex)
-        b = 3 * vd
-        adjacent = (alpha[b] // 3, alpha[b + 1] // 3, alpha[b + 2] // 3)
-        nd = 3 * used
+        nd = len(alpha)
         # alpha[d] = e runs d's chain on into the chain headed by nxt[e], then
         # e's chain on into the chain headed by nxt[d]
         head_d, len_d = other[d], clen[d]
@@ -170,14 +176,11 @@ class _Growth:
         room = self.cap_q - count_q
         out = []
         # the partners: unmatched darts above d, then dart nd of a fresh vertex
-        for e in range(d + 1, nd + 1 if used < self.n_max else nd):
+        for e in range(d + 1, nd + 1 if nd < self.max_darts else nd):
             if e < nd:
                 if alpha[e] >= 0:
                     continue
-                ve = e // 3
-                if ve == vd or ve in adjacent:
-                    continue
-                if colors is not None and colors[vd] == colors[ve]:
+                if colors is not None and colors[vd] == colors[e // 3]:
                     continue
             h = nxt[e]
             head_e, len_e = other[e], clen[e]
@@ -210,13 +213,12 @@ class _Growth:
             if nq > room:
                 continue
             if e == nd:
-                used2 = used + 1
                 alpha2 = alpha + [-1, -1, -1]
                 colors2 = colors + [1 - colors[vd]] if colors is not None else None
                 other2 = other + [e + 3, e + 4, e + 5]
                 clen2 = clen + [1, 1, 1]
             else:
-                used2, colors2 = used, colors
+                colors2 = colors
                 alpha2, other2, clen2 = alpha.copy(), other.copy(), clen.copy()
             alpha2[d] = e
             alpha2[e] = d
@@ -229,9 +231,10 @@ class _Growth:
                 other2[tail_into] = head_e
                 clen2[head_e] = clen2[tail_into] = joined_e
             low2 = d + 1
-            while low2 < 3 * used2 and alpha2[low2] >= 0:
+            nd2 = len(alpha2)
+            while low2 < nd2 and alpha2[low2] >= 0:
                 low2 += 1
-            out.append((alpha2, used2, colors2, count_q + nq, low2, other2, clen2))
+            out.append((alpha2, colors2, count_q + nq, low2, other2, clen2))
         return out
 
     def rooted_key(self, state) -> bytes:
@@ -242,10 +245,9 @@ class _Growth:
         patch, which is why the walk needs no dedup; the benchmark tracer
         (perfbench/spans.py) also wraps it by name.
         """
-        alpha, used = state[0], state[1]
+        alpha = state[0]
         nxt = self.nxt
-        nd = 3 * used
-        pos = [-1] * nd
+        pos = [-1] * len(alpha)
         order = [0]
         pos[0] = 0
         for dd in order:
@@ -271,8 +273,8 @@ class _Growth:
         return bytes(buf)
 
     def finish(self, state) -> PlaneGraph:
-        alpha, used = state[0], state[1]
-        nd = 3 * used
+        alpha = state[0]
+        nd = len(alpha)
         # alpha must be the storage convention d ^ 1: renumber darts so that
         # matched pairs become (2e, 2e+1)
         perm = [-1] * nd
@@ -382,7 +384,7 @@ def generate_q6(
 
 
 def _is_complete(state) -> bool:
-    return state[4] >= 3 * state[1]
+    return state[3] >= len(state[0])
 
 
 def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:

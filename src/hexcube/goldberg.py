@@ -145,16 +145,9 @@ def _subdivided_octahedron(k: int, l: int) -> PlaneGraph:
             if key not in chosen:
                 chosen[key] = (fi, tri)
 
-    vertex_ids: dict[tuple[int, Pt], int] = {}
-    faces = []
-    for fi, tri in chosen.values():
-        labels = []
-        for p in tri:
-            rep = point_key(*walk_home(fi, p))
-            if rep not in vertex_ids:
-                vertex_ids[rep] = len(vertex_ids)
-            labels.append(vertex_ids[rep])
-        faces.append(tuple(labels))
+    faces = [
+        tuple(point_key(*walk_home(fi, p)) for p in tri) for fi, tri in chosen.values()
+    ]
     return PlaneGraph.from_faces(faces)
 
 

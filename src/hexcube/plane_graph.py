@@ -203,11 +203,7 @@ class PlaneGraph:
         for v, nbrs in enumerate(neighbors):
             if not nbrs:
                 raise MapError(f"vertex {v} is isolated")
-            ds = []
-            for w in nbrs:
-                if (v, w) not in darts_of:
-                    raise MapError(f"edge {v}-{w} missing its reverse")
-                ds.append(darts_of[(v, w)])
+            ds = [darts_of[(v, w)] for w in nbrs]
             for i, d in enumerate(ds):
                 sigma[d] = ds[(i + 1) % len(ds)]
                 vertex_of[d] = v

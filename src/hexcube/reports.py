@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -296,13 +295,6 @@ def reproduce_zone_computation(
                 )
         k += 1
     return report
-
-
-def reports_to_jsonl(reports: list[CheckReport]) -> str:
-    return "".join(
-        json.dumps(r.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        for r in reports
-    )
 
 
 def generation_summary(result: GenerationResult) -> dict:

@@ -146,8 +146,14 @@ def test_gc_writes_nothing_when_a_graph_cannot_be_encoded(tmp_path, capsys):
     ids=["generate", "gc"],
 )
 @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
-def test_unwritable_output_exits_1_with_one_error_line(tmp_path, capsys, argv, target):
+def test_unwritable_output_exits_1_with_one_error_line(
+    tmp_path, capsys, monkeypatch, argv, target
+):
     path = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+    if argv[0] == "generate":  # the path is refused before the generation runs
+        monkeypatch.setattr(
+            cli, "generate_q6", lambda *a, **k: pytest.fail("generate_q6 was called")
+        )
     code, out, err = run(capsys, *argv, "-o", str(path))
     assert code == 1
     assert out == ""
@@ -179,8 +185,10 @@ def test_gc_roundtrip(tmp_path, capsys):
 
 
 def test_gc_invalid(capsys):
-    code, _, _ = run(capsys, "gc", "-k", "1", "-l", "2")
+    code, out, err = run(capsys, "gc", "-k", "1", "-l", "2")
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_embed_halfcube_tetrahedron(capsys):
