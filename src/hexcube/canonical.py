@@ -35,6 +35,7 @@ dart 0:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -92,6 +93,100 @@ def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
                     best = None
             i += 2
     return out
+
+
+def _resume(alpha, root: int, walk):
+    """The BFS state (pos, order, k) of a walk from root: fresh when walk is
+    None, else a copy of walk, with pos grown to the darts of alpha."""
+    if walk is None:
+        pos = [-1] * len(alpha)
+        pos[root] = 0
+        return pos, [root], 0
+    pos, order, k = walk
+    return pos + [-1] * (len(alpha) - len(pos)), order.copy(), k
+
+
+def partial_prefix(sigma, alpha, root: int, previous=None):
+    """The fixed prefix of the BFS code from root of a partial map, whose
+    alpha is -1 at unmatched darts, as (code, stop, pos, order).
+
+    The walk is _rooted_ints' with alpha read from the table.  It stops at
+    stop, the first dart in BFS order whose alpha is unset, after that
+    dart's sigma entry (stop is -1 when no dart is unmatched).  Everything
+    before it is read from matched darts only, so the code of every
+    completion from root starts with this prefix.  previous, the result
+    for a map that alpha extends, is resumed at its stop instead of walking
+    again from root; it is not changed.
+    """
+    if previous is None:
+        code = []
+        pos, order, k = _resume(alpha, root, None)
+    else:
+        code = previous[0][:-1]  # the stop dart is walked again
+        _, _, pos, order = previous
+        pos, order, k = _resume(alpha, root, (pos, order, len(code) >> 1))
+    for d in islice(order, k, None):
+        s = sigma[d]
+        ps = pos[s]
+        if ps < 0:
+            ps = pos[s] = len(order)
+            order.append(s)
+        code.append(ps)
+        a = alpha[d]
+        if a < 0:
+            return code, d, pos, order
+        pa = pos[a]
+        if pa < 0:
+            pa = pos[a] = len(order)
+            order.append(a)
+        code.append(pa)
+    return code, -1, pos, order
+
+
+def partial_compare(sigma, alpha, root: int, prefix: list[int], stop: int, walk=None):
+    """Compare root's code with the code that starts with prefix, in every
+    completion of a partial map, as (sign, blocker, walk).
+
+    prefix and stop are partial_prefix's code and stop for another root of
+    the same map.  The walk runs until the first entry where root's fixed
+    prefix differs from prefix, and sign is -1 when root's entry is smaller
+    and 1 when it is larger: every completion keeps that order.  When one
+    prefix ends first the order is not yet known: sign is 0 and blocker is
+    the unmatched dart that ends the shorter prefix, which alone can decide
+    it once it is matched; the returned walk, passed back in then, resumes
+    the comparison where it stopped instead of walking again from root.
+    Equal codes of a complete map give (0, -1, None).
+    """
+    pos, order, k = _resume(alpha, root, walk)
+    n = len(prefix)
+    top = len(order)
+    i = 2 * k
+    # a list iterator sees the darts appended while it runs
+    for d in islice(order, k, None):
+        s = sigma[d]
+        ps = pos[s]
+        if ps < 0:
+            ps = pos[s] = top
+            top += 1
+            order.append(s)
+        b = prefix[i]
+        if ps != b:
+            return (-1 if ps < b else 1), -1, None
+        a = alpha[d]
+        if a < 0:
+            return 0, d, (pos, order, i >> 1)
+        if i + 1 == n:
+            return 0, stop, (pos, order, i >> 1)
+        pa = pos[a]
+        if pa < 0:
+            pa = pos[a] = top
+            top += 1
+            order.append(a)
+        b = prefix[i + 1]
+        if pa != b:
+            return (-1 if pa < b else 1), -1, None
+        i += 2
+    return 0, -1, None
 
 
 def _root_orientations(g: PlaneGraph):

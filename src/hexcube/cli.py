@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from typing import Iterable
 
 from .embedding import search_halfcube_embedding
@@ -86,7 +87,7 @@ def _write_graphs(
     codes gives the canonical code of each graph; only json reads it, so it
     may be lazy.  A graph that cannot be encoded (planar_code holds n < 256)
     raises before anything is written, so it leaves no partial output and
-    no file."""
+    no file; a file is replaced whole or not at all."""
     if fmt == "plc":
         buf = io.BytesIO()
         write_planar_code(graphs, buf)
@@ -105,9 +106,18 @@ def _write_graphs(
         data = "".join(map(_json_line, rows)).encode()
     if path in (None, "-"):
         sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fp:
+        return
+    # write beside the target and rename over it, so that a failed write
+    # leaves no partial file and an existing target intact
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fp:
             fp.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_generate(args) -> int:

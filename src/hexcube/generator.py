@@ -26,6 +26,13 @@ child copies the tables.  Pruning is exact:
   * for even q, a two-coloring is maintained (all-even-faced maps are
     bipartite, and partial maps are subgraphs of their completions).
 
+The partners of d are only the other tails around d's open face (the
+cycle of chains that d's chain starts, each chain's tail t followed by the
+chain that nxt[t] heads) and a fresh vertex's dart.  This is exact: an edge
+between two different open faces of a connected partial map merges them
+into one and adds a handle, which raises the genus of every completion, and
+every completion is plane (below).
+
 The extensions of a state therefore form a tree whose nodes are pairwise
 distinct rooted patches, so the search is a plain depth-first walk over it
 and stores no visited set.  A completed map is kept only when dart 0 is a
@@ -34,12 +41,29 @@ simplest form, with the root on a smallest face as in Brinkmann and Dress's
 fullgen).  The minimal roots of one class are all the same rooted map, and
 the growth reaches that rooted map exactly once, so each class is kept
 exactly once, as the map grown from its canonical root, and the kept maps
-need no dedup.  The states with SPLIT_DEPTH edges, in pre-order, root an
-ordered list of subtrees; each subtree is the unit of work for the
-checkpoint, and the time budget is read before each subtree and every
-CLOCK_EVERY states inside one.  Output order is (n, canonical code), and the
-representatives depend neither on the search order nor on SPLIT_DEPTH, so
-runs are byte-reproducible.
+need no dedup.
+
+The growth cuts a state once some other root is certain to beat dart 0.  A
+closed q-gon stays a face of minimum size in every completion, so its darts
+are roots of the canonical test, and the alpha-images of its darts are
+roots of the mirror map, walked with the inverse rotation prv.  The BFS code
+prefix from a root is fixed up to the first dart the walk meets whose alpha
+is unset (canonical.partial_prefix): every completion's code starts with it.
+So when a root's fixed prefix is smaller than dart 0's at a position where
+both are fixed, that root beats dart 0 in every completion, none of which
+would pass the canonical test, and the state is dropped.  A root found
+larger is dropped for good.  Any other root waits, in the state's watch,
+for the unmatched dart that ends the shorter of the two prefixes
+(canonical.partial_compare): only matching that dart can decide it, so a
+child judges just the roots waiting for d or e and those of the q-gons it
+closes, and resumes each comparison, and dart 0's prefix, where it stopped.
+The cut changes which states the walk meets, never which maps it keeps.
+
+The states with SPLIT_DEPTH edges, in pre-order, root an ordered list of
+subtrees; each subtree is the unit of work for the checkpoint, and the time
+budget is read before each subtree and every CLOCK_EVERY states inside one.
+Output order is (n, canonical code), and the representatives depend neither
+on the search order nor on SPLIT_DEPTH, so runs are byte-reproducible.
 
 Every face of a completion is a q- or 6-gon, so Euler's formula for a
 3-valent map gives it the characteristic f_q (6 - q) / 6, and the root face
@@ -67,7 +91,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import canonical_root_code
+from .canonical import canonical_root_code, partial_compare, partial_prefix
 from .embedding import InvariantError
 from .plane_graph import MapError, PlaneGraph, is_q6
 
@@ -78,13 +102,13 @@ _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 _ROOT_FACE = 100
 
 # Edge count of the states that root the subtrees.  Shallow enough that the
-# list of roots is built in milliseconds, deep enough to give 21, 59 and 138
+# list of roots is built in milliseconds, deep enough to give 12, 14 and 36
 # subtrees for q = 3, 4, 5 once n_max reaches 20.
 SPLIT_DEPTH = 20
 
 # Bumped whenever the checkpoint layout or the meaning of its subtree count
 # changes; a checkpoint of another version is refused.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # States a subtree expands between two readings of the clock, so that a run
 # overruns its time budget by at most this many states.
@@ -135,6 +159,7 @@ class _Growth:
             b = 3 * v
             nxt[b], nxt[b + 1], nxt[b + 2] = b + 1, b + 2, b
         self.nxt = nxt
+        self.prv = [nxt[nxt[d]] for d in range(nd)]
         self.cap_q = _Q_FACE_CAP[q]
         # indexed by a chain length, offset on the root face's: closing[s] is
         # what closing the chain into a face adds to the q-gon count, -1 when
@@ -148,9 +173,12 @@ class _Growth:
         self.fits = [s <= 6 or root < s <= root + q for s in range(2 * root)]
         self.wide = nd + 1 > 255  # dart positions no longer fit in one byte
 
-    # state: (alpha, colors, count_q, low, other, clen); alpha covers the
-    # darts of the used vertices, other and clen those and the next fresh
-    # vertex's
+    # state: (alpha, colors, count_q, low, other, clen, watch, prefix);
+    # alpha covers the darts of the used vertices, other and clen those and
+    # the next fresh vertex's; watch maps an unmatched dart to the roots
+    # whose comparison with dart 0 waits for it, with the walk to resume,
+    # and prefix is dart 0's partial_prefix (None until a root is judged),
+    # resumed when it is next read if its stop dart has been matched
     def initial(self):
         alpha = [-1] * 6
         alpha[0], alpha[3] = 3, 0
@@ -159,11 +187,12 @@ class _Growth:
         # 2 and 5, and the fresh vertex's darts 6, 7, 8
         other = [4, 3, 2, 1, 0, 5, 6, 7, 8]
         clen = [_ROOT_FACE + 2, 2, 1, 2, _ROOT_FACE + 2, 1, 1, 1, 1]
-        return (alpha, colors, 0, 1, other, clen)
+        return (alpha, colors, 0, 1, other, clen, {}, None)
 
     def children(self, state):
-        """All legal one-edge extensions, in deterministic order."""
-        alpha, colors, count_q, low, other, clen = state
+        """All legal one-edge extensions that the prefix cut keeps, in
+        deterministic order."""
+        alpha, colors, count_q, low, other, clen, watch, prefix = state
         nxt, closing, fits = self.nxt, self.closing, self.fits
         d = low
         vd = d // 3
@@ -174,19 +203,26 @@ class _Growth:
         next_d = nxt[d]
         tail_next, len_next = other[next_d], clen[next_d]
         room = self.cap_q - count_q
+        waiting_d = watch.get(d, ())
+        # the partners: the other tails around d's open face, in increasing
+        # order, then dart nd of a fresh vertex
+        partners = []
+        t = tail_next
+        while t != d:
+            partners.append(t)
+            t = other[nxt[t]]
+        partners.sort()
+        if nd < self.max_darts:
+            partners.append(nd)
         out = []
-        # the partners: unmatched darts above d, then dart nd of a fresh vertex
-        for e in range(d + 1, nd + 1 if nd < self.max_darts else nd):
-            if e < nd:
-                if alpha[e] >= 0:
-                    continue
-                if colors is not None and colors[vd] == colors[e // 3]:
-                    continue
+        for e in partners:
+            if e < nd and colors is not None and colors[vd] == colors[e // 3]:
+                continue
             h = nxt[e]
             head_e, len_e = other[e], clen[e]
             tail_into, len_into = tail_next, len_next
             if head_d == h:  # d's chain closes into a face
-                nq = closing[len_d]
+                nq = q_d = closing[len_d]
                 if nq < 0:
                     continue
                 joined = 0
@@ -194,22 +230,23 @@ class _Growth:
                 joined = len_d + clen[h]
                 if not fits[joined]:
                     continue
-                nq = 0
+                nq = q_d = 0
                 tail_h = other[h]
                 # the joined chain may be the one that nxt[d] heads; one ending
                 # at e (d-e a bridge) fails fits below on e's old chain too
                 if head_d == next_d:
                     tail_into, len_into = tail_h, joined
             if head_e == next_d:  # e's chain closes into a face
-                closed = closing[len_e]
-                if closed < 0:
+                q_e = closing[len_e]
+                if q_e < 0:
                     continue
-                nq += closed
+                nq += q_e
                 joined_e = 0
             else:
                 joined_e = len_e + len_into
                 if not fits[joined_e]:
                     continue
+                q_e = 0
             if nq > room:
                 continue
             if e == nd:
@@ -234,8 +271,62 @@ class _Growth:
             nd2 = len(alpha2)
             while low2 < nd2 and alpha2[low2] >= 0:
                 low2 += 1
-            out.append((alpha2, colors2, count_q + nq, low2, other2, clen2))
+            # the roots to judge: those waiting for d or e, and those of the
+            # q-gons just closed
+            judge = waiting_d
+            if e in watch:
+                judge = judge + watch[e]
+            if q_d:
+                judge = judge + self._face_roots(alpha2, d)
+            if q_e:
+                judge = judge + self._face_roots(alpha2, e)
+            if judge:
+                child = self._judge(alpha2, watch, prefix, d, e, judge)
+                if child is None:
+                    continue  # another root beats dart 0 in every completion
+                watch2, prefix2 = child
+            else:
+                watch2, prefix2 = watch, prefix
+            out.append((alpha2, colors2, count_q + nq, low2, other2, clen2, watch2, prefix2))
         return out
+
+    def _face_roots(self, alpha, x) -> tuple:
+        """The roots on the closed q-gon through dart x, as (root, None)
+        pairs, None being a walk not yet begun: the q-gon's darts other than
+        dart 0, and their alpha-images, coded ~dart, which are roots of the
+        mirror map (walked with prv)."""
+        nxt = self.nxt
+        roots = []
+        y = x
+        while True:
+            if y:
+                roots.append((y, None))
+            roots.append((~alpha[y], None))
+            y = nxt[alpha[y]]
+            if y == x:
+                return tuple(roots)
+
+    def _judge(self, alpha, watch, prefix, d, e, roots):
+        """Compare each of roots, a tuple of (root, walk), with dart 0 after
+        alpha[d] = e.  None when one of them is smaller in every completion;
+        otherwise the child's watch and prefix, without the roots that are
+        larger and with the others waiting for their new blockers."""
+        if prefix is None or prefix[1] >= 0 and alpha[prefix[1]] >= 0:
+            prefix = partial_prefix(self.nxt, alpha, 0, prefix)
+        code, stop = prefix[0], prefix[1]
+        watch2 = dict(watch)
+        watch2.pop(d, None)
+        watch2.pop(e, None)
+        for r, walk in roots:
+            if r >= 0:
+                sign, blocker, walk = partial_compare(self.nxt, alpha, r, code, stop, walk)
+            else:
+                sign, blocker, walk = partial_compare(self.prv, alpha, ~r, code, stop, walk)
+            if sign < 0:
+                return None
+            if sign == 0 and blocker >= 0:
+                watch2[blocker] = watch2.get(blocker, ()) + ((r, walk),)
+        return watch2, prefix
 
     def rooted_key(self, state) -> bytes:
         """Canonical form of the rooted partial patch (BFS code from dart 0).

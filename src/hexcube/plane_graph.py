@@ -191,6 +191,8 @@ class PlaneGraph:
             for w in nbrs:
                 if w == v:
                     raise MapError(f"vertex {v}: loop")
+                if not 0 <= w < len(neighbors):
+                    raise MapError(f"vertex {v}: neighbor {w} out of range")
                 key = (v, w) if v < w else (w, v)
                 if key not in edge_ids:
                     e = len(edge_ids)

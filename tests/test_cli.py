@@ -161,6 +161,34 @@ def test_unwritable_output_exits_1_with_one_error_line(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_write_leaves_the_old_file_intact(tmp_path, capsys, monkeypatch):
+    """A write that fails half way (a full disk) keeps the file that was
+    there and leaves no temporary file beside it."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old\n")
+    fdopen = cli.os.fdopen
+
+    class HalfWriter(io.RawIOBase):
+        def __init__(self, fp):
+            self.fp = fp
+
+        def write(self, data):
+            self.fp.write(data[: len(data) // 2])
+            self.fp.flush()
+            raise OSError(28, "No space left on device")
+
+        def close(self):
+            self.fp.close()
+            super().close()
+
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: HalfWriter(fdopen(fd, mode)))
+    code, out, err = run(capsys, "generate", "-q", "4", "--nmax", "16", "-o", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_verify_theorem_small_bound(capsys):
     code, out, _ = run(capsys, "verify-theorem", "--nmax", "8")
     assert code == 4

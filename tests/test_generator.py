@@ -121,26 +121,79 @@ def test_outputs_match_networkx(gen, n_max, request):
             assert not nx.is_isomorphic(a, b)
 
 
+def _never_cut(self, alpha, watch, prefix, d, e, roots):
+    return watch, prefix
+
+
+class _Uncut(generator._Growth):
+    """The growth without the prefix cut: the oracle walk of the tests."""
+
+    _judge = _never_cut
+
+
 @pytest.mark.parametrize("q, n_max", [(3, 20), (4, 32), (5, 28)])
 def test_one_accepted_completion_per_class(q, n_max, monkeypatch):
     """Every class the growth completes has exactly one completion that the
-    canonical-root test accepts, and that one is the output."""
-    accepted: dict[bytes, int] = {}
-    calls = 0
+    canonical-root test accepts, and that one is the output, with the
+    prefix cut and without it."""
+    for cut in (True, False):
+        if not cut:
+            monkeypatch.setattr(generator._Growth, "_judge", _never_cut)
+        accepted: dict[bytes, int] = {}
+        calls = 0
 
-    def counting(g):
-        nonlocal calls
-        calls += 1
-        code = canonical_root_code(g)
-        key = canonical_code(g)
-        accepted[key] = accepted.get(key, 0) + (code is not None)
-        return code
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            code = canonical_root_code(g)
+            key = canonical_code(g)
+            accepted[key] = accepted.get(key, 0) + (code is not None)
+            return code
 
-    monkeypatch.setattr(generator, "canonical_root_code", counting)
+        monkeypatch.setattr(generator, "canonical_root_code", counting)
+        res = generate_q6(GenSpec(q=q, n_max=n_max))
+        assert set(accepted.values()) == {1}
+        assert set(accepted) == set(res.codes)
+    assert calls > len(res.codes)  # the uncut walk turned some completions away
+
+
+@pytest.mark.parametrize("q, n_max", [(3, 32), (4, 40), (5, 32)])
+def test_cut_keeps_the_classes(q, n_max, monkeypatch):
+    """The cut and uncut walks accept the same codes, and the cut walk
+    completes at most 1.1 times as many maps as it keeps."""
+    finish = generator._Growth.finish
+    completions = 0
+
+    def counting(self, state):
+        nonlocal completions
+        completions += 1
+        return finish(self, state)
+
+    monkeypatch.setattr(generator._Growth, "finish", counting)
     res = generate_q6(GenSpec(q=q, n_max=n_max))
-    assert set(accepted.values()) == {1}
-    assert set(accepted) == set(res.codes)
-    assert calls > len(res.codes)  # some completions were turned away
+    assert completions <= 1.1 * len(res.codes)
+    monkeypatch.setattr(generator._Growth, "_judge", _never_cut)
+    assert generate_q6(GenSpec(q=q, n_max=n_max)).codes == res.codes
+
+
+@pytest.mark.parametrize("q, n_max, every", [(3, 32, 1), (4, 28, 1), (5, 24, 1), (4, 40, 7)])
+def test_no_completion_below_a_cut_state_is_canonical(q, n_max, every):
+    """Every child that the cut drops (every one at the smaller sizes, each
+    7th at (4, 40)) roots an uncut subtree none of whose completions passes
+    the canonical-root test: each cut is certified."""
+    growth = generator._Growth(q, n_max)
+    uncut = _Uncut(q, n_max)
+    cut_states = []
+    for state in _growth_tree(growth):
+        if generator._is_complete(state):
+            continue
+        kept = {tuple(child[0]) for child in growth.children(state)}
+        cut_states += [c for c in uncut.children(state) if tuple(c[0]) not in kept]
+    assert cut_states
+    for state in cut_states[::every]:
+        for below in _growth_tree(uncut, state):
+            if generator._is_complete(below):
+                assert canonical_root_code(uncut.finish(below)) is None
 
 
 @pytest.mark.parametrize("gen", ["gen3_20", "gen4_48", "gen5_36"])
@@ -267,9 +320,10 @@ def _graph_row(g, subtree: int = 0) -> dict:
     return {"subtree": subtree, "sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
 
 
-def _growth_tree(growth):
-    """Every state of the growth tree, parents before their children."""
-    stack = [growth.initial()]
+def _growth_tree(growth, root=None):
+    """Every state of the growth tree below root (the initial state by
+    default), parents before their children."""
+    stack = [growth.initial() if root is None else root]
     while stack:
         state = stack.pop()
         yield state
@@ -280,17 +334,15 @@ def _growth_tree(growth):
 @pytest.mark.parametrize("q, n_max", [(3, 32), (4, 28), (5, 24)])
 def test_growth_states_are_distinct_patches(q, n_max):
     """No two incomplete states of the growth tree are the same rooted
-    patch, so a dedup of the states could never drop one."""
-    growth = generator._Growth(q, n_max)
-    keys = set()
-    states = 0
-    for state in _growth_tree(growth):
-        if generator._is_complete(state):
-            continue
-        keys.add(growth.rooted_key(state))
-        states += 1
-    assert states > 1000
-    assert len(keys) == states
+    patch, so a dedup of the states could never drop one.  The uncut tree
+    is checked, and the cut tree is a part of it."""
+    uncut, cut = (
+        [growth.rooted_key(s) for s in _growth_tree(growth) if not generator._is_complete(s)]
+        for growth in (_Uncut(q, n_max), generator._Growth(q, n_max))
+    )
+    assert len(uncut) > 1000
+    assert len(set(uncut)) == len(uncut)
+    assert set(cut) < set(uncut) and len(set(cut)) == len(cut)
 
 
 def _face_walks(alpha):
@@ -319,18 +371,18 @@ def _face_walks(alpha):
     return chains, faces
 
 
-# incomplete states and completions of the growth tree.  The growth has no
-# loop or parallel-edge test and leaves those to the face rules, so the tree
-# holds a few states with a parallel pair (2 at q = 3 and 4, 8 at q = 5)
-# that have no completion; the completions are the same as with the test.
-# At (5, 24) and (5, 32), 22 and 59 candidate edges d-e would be bridges,
-# because d's chain joins the chain that e ends; an accepted one would show
-# as a wrong table or a wrong count.
+# incomplete states and completions of the growth tree.  The prefix cut
+# drops every state below which another root of a closed q-gon is certain to
+# beat dart 0, and the partners of d are the tails around d's open face, so
+# each class is completed once (test_cut_keeps_the_classes checks the codes
+# against the uncut walk).  Without the cut and with every unmatched dart
+# as a partner the tree held (1034, 56), (4240, 140), (8333, 6) and
+# (71512, 307).
 GROWTH_TREE_SIZES = {
-    (3, 32): (1034, 56),
-    (4, 28): (4240, 140),
-    (5, 24): (8333, 6),
-    (5, 32): (71512, 307),
+    (3, 32): (468, 20),
+    (4, 28): (800, 18),
+    (5, 24): (1306, 2),
+    (5, 32): (4358, 14),
 }
 
 
@@ -343,7 +395,7 @@ def test_chain_tables_match_a_walk_of_alpha(q, n_max):
     twice, although the growth never tests for either."""
     root = generator._ROOT_FACE
     incomplete = complete = 0
-    for alpha, _, count_q, low, other, clen in _growth_tree(generator._Growth(q, n_max)):
+    for alpha, _, count_q, low, other, clen, _, _ in _growth_tree(generator._Growth(q, n_max)):
         chains, faces = _face_walks(alpha)
         for head, tail, darts in chains:
             length = len(darts) + (root if 0 in darts else 0)
@@ -463,8 +515,9 @@ def test_checkpoint_malformed(checkpoint, edit):
 def test_checkpoint_version_mismatch(checkpoint):
     payload = json.loads(checkpoint.read_text())
     # format 3 numbered the subtrees of the growth without root-face pruning,
-    # and format 4 rows carry no subtree index
-    for version in (None, 2, 3, 4):
+    # format 4 rows carry no subtree index, and format 5 numbered the
+    # subtrees of the growth without the prefix cut
+    for version in (None, 2, 3, 4, 5):
         payload["version"] = version
         checkpoint.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="format"):
@@ -501,14 +554,14 @@ def test_checkpoint_repeated_class(checkpoint, extra):
 
 @pytest.fixture(scope="module")
 def checkpoint_24(tmp_path_factory):
-    """The bytes of a finished q=4, n_max=24 run's checkpoint: 59 subtrees,
-    whose graphs were accepted in subtrees 0 to 54."""
+    """The bytes of a finished q=4, n_max=24 run's checkpoint: 14 subtrees,
+    whose graphs were accepted in subtrees 0 to 11."""
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
     generate_q6(GenSpec(q=4, n_max=24), checkpoint_path=str(path))
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("done", [0, 10, 30, 50])
+@pytest.mark.parametrize("done", [0, 5, 10, 11])
 def test_checkpoint_done_too_low(tmp_path, checkpoint_24, done):
     """A finished run's graphs with 'done' set back below the subtree of
     some graph are refused on load, before any subtree runs, so the file is

@@ -97,6 +97,8 @@ def test_malformed_maps_rejected():
         PlaneGraph.from_rotations([[1, 1], [0, 0]])  # parallel edge
     with pytest.raises(MapError, match="not listed at both endpoints"):
         PlaneGraph.from_rotations([[1, 2], [0, 2], [1]])  # 0-2 missing at 2
+    with pytest.raises(MapError, match="out of range"):
+        PlaneGraph.from_rotations([[5], [0]])  # no vertex 5
     with pytest.raises(MapError):
         # K4 with one rotation flipped embeds on the torus, not the sphere
         PlaneGraph.from_rotations([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 1, 2]])
