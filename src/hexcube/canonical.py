@@ -11,8 +11,8 @@ One walk over one root set serves every caller, always in both
 orientations, since classes are taken up to reflection.  ``canonical_form``
 reads the whole walk and yields the canonical code, the order of the
 automorphism group and chirality together; ``canonical_root_code``, the
-generator's canonical-root test, stops it at the first root that beats
-dart 0:
+checkpoint loader's canonical-root test and the tests' reference for the
+generator's prefix cut, stops it at the first root that beats dart 0:
 
 * **Roots.**  Only darts on a face of minimum size are tried, in both
   orientations (the mirror orientation uses the inverse rotation, and a dart

@@ -14,11 +14,10 @@ import io
 import json
 import os
 import sys
-import tempfile
 from typing import Iterable
 
 from .embedding import search_halfcube_embedding
-from .generator import GenSpec, generate_q6
+from .generator import GenSpec, generate_q6, replace_file
 from .goldberg import goldberg_coxeter_cube
 from .named import make_named, named_graph_names
 from .planar_code import read_planar_code, to_dot, write_planar_code
@@ -107,17 +106,7 @@ def _write_graphs(
     if path in (None, "-"):
         sys.stdout.buffer.write(data)
         return
-    # write beside the target and rename over it, so that a failed write
-    # leaves no partial file and an existing target intact
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fp:
-            fp.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    replace_file(path, data)
 
 
 def cmd_generate(args) -> int:

@@ -35,29 +35,34 @@ every completion is plane (below).
 
 The extensions of a state therefore form a tree whose nodes are pairwise
 distinct rooted patches, so the search is a plain depth-first walk over it
-and stores no visited set.  A completed map is kept only when dart 0 is a
-minimal root of its canonical form (McKay's canonical augmentation in its
+and stores no visited set.  Each class is kept once, as the map grown from
+a minimal root of its canonical form (McKay's canonical augmentation in its
 simplest form, with the root on a smallest face as in Brinkmann and Dress's
-fullgen).  The minimal roots of one class are all the same rooted map, and
-the growth reaches that rooted map exactly once, so each class is kept
-exactly once, as the map grown from its canonical root, and the kept maps
-need no dedup.
+fullgen): the minimal roots of one class are all the same rooted map, which
+the growth reaches exactly once.
 
 The growth cuts a state once some other root is certain to beat dart 0.  A
 closed q-gon stays a face of minimum size in every completion, so its darts
-are roots of the canonical test, and the alpha-images of its darts are
-roots of the mirror map, walked with the inverse rotation prv.  The BFS code
-prefix from a root is fixed up to the first dart the walk meets whose alpha
-is unset (canonical.partial_prefix): every completion's code starts with it.
-So when a root's fixed prefix is smaller than dart 0's at a position where
-both are fixed, that root beats dart 0 in every completion, none of which
-would pass the canonical test, and the state is dropped.  A root found
-larger is dropped for good.  Any other root waits, in the state's watch,
-for the unmatched dart that ends the shorter of the two prefixes
-(canonical.partial_compare): only matching that dart can decide it, so a
-child judges just the roots waiting for d or e and those of the q-gons it
-closes, and resumes each comparison, and dart 0's prefix, where it stopped.
-The cut changes which states the walk meets, never which maps it keeps.
+are canonical roots, and the alpha-images of its darts are roots of the
+mirror map, walked with the inverse rotation prv.  The BFS code prefix from
+a root is fixed up to the first dart the walk meets whose alpha is unset
+(canonical.partial_prefix): every completion's code starts with it.  So
+when a root's fixed prefix is smaller than dart 0's at a position where
+both are fixed, that root beats dart 0 in every completion, and the state
+is dropped.  A root found larger is dropped for good.  Any other root
+waits, in the state's watch, for the unmatched dart that ends the shorter
+of the two prefixes (canonical.partial_compare): only matching that dart
+can decide it, so a child judges just the roots waiting for d or e and
+those of the q-gons it closes, and resumes each comparison, and dart 0's
+prefix, where it stopped.
+
+The cut is the only canonical test.  The smallest faces of a completion are
+its q-gons, so by the time it completes each of their roots, in both
+orientations, has been compared with dart 0 in full: a smaller one cut the
+state, a larger one was dropped and an equal one left the watch.  Every
+completion is thus grown from a minimal root, and is kept with dart 0's
+prefix, walked to the end, as its code.  A completion with a root still in
+its watch, or two with one code, raise InvariantError.
 
 The states with SPLIT_DEPTH edges, in pre-order, root an ordered list of
 subtrees; each subtree is the unit of work for the checkpoint, and the time
@@ -91,7 +96,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import canonical_root_code, partial_compare, partial_prefix
+from .canonical import _encode, canonical_root_code, partial_compare, partial_prefix
 from .embedding import InvariantError
 from .plane_graph import MapError, PlaneGraph, is_q6
 
@@ -177,8 +182,8 @@ class _Growth:
     # alpha covers the darts of the used vertices, other and clen those and
     # the next fresh vertex's; watch maps an unmatched dart to the roots
     # whose comparison with dart 0 waits for it, with the walk to resume,
-    # and prefix is dart 0's partial_prefix (None until a root is judged),
-    # resumed when it is next read if its stop dart has been matched
+    # and prefix is dart 0's partial_prefix, resumed when it is next read if
+    # its stop dart has been matched
     def initial(self):
         alpha = [-1] * 6
         alpha[0], alpha[3] = 3, 0
@@ -187,7 +192,7 @@ class _Growth:
         # 2 and 5, and the fresh vertex's darts 6, 7, 8
         other = [4, 3, 2, 1, 0, 5, 6, 7, 8]
         clen = [_ROOT_FACE + 2, 2, 1, 2, _ROOT_FACE + 2, 1, 1, 1, 1]
-        return (alpha, colors, 0, 1, other, clen, {}, None)
+        return (alpha, colors, 0, 1, other, clen, {}, partial_prefix(self.nxt, alpha, 0))
 
     def children(self, state):
         """All legal one-edge extensions that the prefix cut keeps, in
@@ -311,7 +316,7 @@ class _Growth:
         alpha[d] = e.  None when one of them is smaller in every completion;
         otherwise the child's watch and prefix, without the roots that are
         larger and with the others waiting for their new blockers."""
-        if prefix is None or prefix[1] >= 0 and alpha[prefix[1]] >= 0:
+        if prefix[1] >= 0 and alpha[prefix[1]] >= 0:
             prefix = partial_prefix(self.nxt, alpha, 0, prefix)
         code, stop = prefix[0], prefix[1]
         watch2 = dict(watch)
@@ -428,10 +433,12 @@ def generate_q6(
         found.append((g.n_vertices, code, g, subtree))
 
     def collect(state, subtree: int) -> None:
-        g = growth.finish(state)
-        code = canonical_root_code(g)
-        if code is not None:  # grown from a canonical root: the representative
-            keep(g, code, subtree)
+        alpha, watch, prefix = state[0], state[6], state[7]
+        if watch:
+            raise InvariantError("a completion has a root still waiting to be compared")
+        if prefix[1] >= 0:  # the stop dart is matched: walk on to the end
+            prefix = partial_prefix(growth.nxt, alpha, 0, prefix)
+        keep(growth.finish(state), _encode(prefix[0]), subtree)
 
     # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
     roots = []
@@ -509,14 +516,18 @@ def _save_checkpoint(path, spec, done, rows) -> None:
             for _, _, g, subtree in rows
         ],
     }
-    # write beside the target and rename over it, so that an interrupted
-    # write leaves the previous checkpoint intact
+    # dumps, not dump: only the one-shot encoder runs in C
+    replace_file(path, json.dumps(payload, separators=(",", ":")).encode())
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write data beside path and rename it over path, so that a failed or
+    interrupted write leaves the previous file intact and no partial one."""
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fp:
-            # dumps, not dump: only the one-shot encoder runs in C
-            fp.write(json.dumps(payload, separators=(",", ":")))
+        with os.fdopen(fd, "wb") as fp:
+            fp.write(data)
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(tmp, path)

@@ -1,0 +1,80 @@
+"""The census: expected answers of the generator and the CLI, recorded once
+in census.json and recomputed here.
+
+For each (q, n_max) it holds the per-n class counts and the sha256 of the
+sorted canonical codes; for each listed command, the sha256 of its stdout.
+A change that alters codes or output on purpose rewrites the file with
+
+    PYTHONPATH=src python3 tests/test_census.py --write
+
+and says in CHANGES.md what changed and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hexcube import GenSpec, generate_q6
+
+CENSUS = Path(__file__).with_name("census.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
+SPECS = [(3, 60), (4, 64), (5, 40)]
+COMMANDS = [
+    "verify-theorem --nmax 32",
+    "reproduce-zone-computation --nmax 40",
+    "generate -q 5 --nmax 32 --format plc",
+    "generate -q 4 --nmax 40 --format json",
+]
+
+
+def generation_entry(q: int, n_max: int) -> dict:
+    res = generate_q6(GenSpec(q=q, n_max=n_max))
+    codes = hashlib.sha256(b"".join(code.hex().encode() + b"\n" for code in sorted(res.codes)))
+    return {
+        "counts": {str(n): c for n, c in sorted(res.counts.items())},
+        "codes_sha256": codes.hexdigest(),
+    }
+
+
+def stdout_sha256(command: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-m", "hexcube", *command.split()],
+        env=env, capture_output=True, check=True,
+    ).stdout
+    return hashlib.sha256(out).hexdigest()
+
+
+def census() -> dict:
+    return {
+        "generate_q6": {f"{q}-{n_max}": generation_entry(q, n_max) for q, n_max in SPECS},
+        "stdout_sha256": {command: stdout_sha256(command) for command in COMMANDS},
+    }
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(CENSUS.read_text())
+
+
+@pytest.mark.parametrize("q, n_max", SPECS)
+def test_generation_matches_the_census(recorded, q, n_max):
+    assert generation_entry(q, n_max) == recorded["generate_q6"][f"{q}-{n_max}"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_the_census(recorded, command):
+    assert stdout_sha256(command) == recorded["stdout_sha256"][command]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    CENSUS.write_text(json.dumps(census(), indent=1, sort_keys=True) + "\n")

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from hexcube import FILTER_NAMES, canonical_code, make_named, read_planar_code
-from hexcube import cli
+from hexcube import FILTER_NAMES, GenSpec, canonical_code, generate_q6, make_named
+from hexcube import read_planar_code
+from hexcube import cli, generator
 from hexcube.cli import main
 
 
@@ -162,10 +163,14 @@ def test_unwritable_output_exits_1_with_one_error_line(
 
 
 def test_failed_write_leaves_the_old_file_intact(tmp_path, capsys, monkeypatch):
-    """A write that fails half way (a full disk) keeps the file that was
-    there and leaves no temporary file beside it."""
+    """A write that fails half way (a full disk), of -o or of a checkpoint,
+    keeps the file that was there and leaves no temporary file beside it."""
     path = tmp_path / "out.json"
     path.write_bytes(b"old\n")
+    checkpoint = tmp_path / "ckpt.json"
+    spec = GenSpec(q=4, n_max=16)
+    generator._save_checkpoint(str(checkpoint), spec, 0, [])  # no subtree done yet
+    saved = checkpoint.read_bytes()
     fdopen = cli.os.fdopen
 
     class HalfWriter(io.RawIOBase):
@@ -186,7 +191,10 @@ def test_failed_write_leaves_the_old_file_intact(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == "" and err.startswith("error: ")
     assert path.read_bytes() == b"old\n"
-    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(OSError, match="No space"):
+        generate_q6(spec, checkpoint_path=str(checkpoint))
+    assert checkpoint.read_bytes() == saved
+    assert sorted(tmp_path.iterdir()) == sorted([path, checkpoint])
 
 
 def test_verify_theorem_small_bound(capsys):

@@ -121,59 +121,80 @@ def test_outputs_match_networkx(gen, n_max, request):
             assert not nx.is_isomorphic(a, b)
 
 
-def _never_cut(self, alpha, watch, prefix, d, e, roots):
-    return watch, prefix
-
-
 class _Uncut(generator._Growth):
-    """The growth without the prefix cut: the oracle walk of the tests."""
+    """The growth without the prefix cut: the oracle walk of the tests.
+    Its completions are every rooted map, so canonical_root_code picks the
+    representatives among them."""
 
-    _judge = _never_cut
+    def _judge(self, alpha, watch, prefix, d, e, roots):
+        return watch, prefix
+
+
+def _completions(growth):
+    """The completed maps of growth's tree, in the walk's order."""
+    return [growth.finish(s) for s in _growth_tree(growth) if generator._is_complete(s)]
 
 
 @pytest.mark.parametrize("q, n_max", [(3, 20), (4, 32), (5, 28)])
-def test_one_accepted_completion_per_class(q, n_max, monkeypatch):
+def test_one_accepted_completion_per_class(q, n_max):
     """Every class the growth completes has exactly one completion that the
-    canonical-root test accepts, and that one is the output, with the
-    prefix cut and without it."""
-    for cut in (True, False):
-        if not cut:
-            monkeypatch.setattr(generator._Growth, "_judge", _never_cut)
+    canonical-root test accepts, with the prefix cut and without it, and
+    the classes are the output's."""
+    codes = set(generate_q6(GenSpec(q=q, n_max=n_max)).codes)
+    for growth in (generator._Growth(q, n_max), _Uncut(q, n_max)):
         accepted: dict[bytes, int] = {}
-        calls = 0
-
-        def counting(g):
-            nonlocal calls
-            calls += 1
-            code = canonical_root_code(g)
+        completions = _completions(growth)
+        for g in completions:
             key = canonical_code(g)
-            accepted[key] = accepted.get(key, 0) + (code is not None)
-            return code
-
-        monkeypatch.setattr(generator, "canonical_root_code", counting)
-        res = generate_q6(GenSpec(q=q, n_max=n_max))
+            accepted[key] = accepted.get(key, 0) + (canonical_root_code(g) is not None)
         assert set(accepted.values()) == {1}
-        assert set(accepted) == set(res.codes)
-    assert calls > len(res.codes)  # the uncut walk turned some completions away
+        assert set(accepted) == codes
+    assert len(completions) > len(codes)  # the uncut walk turned some completions away
 
 
 @pytest.mark.parametrize("q, n_max", [(3, 32), (4, 40), (5, 32)])
-def test_cut_keeps_the_classes(q, n_max, monkeypatch):
-    """The cut and uncut walks accept the same codes, and the cut walk
-    completes at most 1.1 times as many maps as it keeps."""
-    finish = generator._Growth.finish
-    completions = 0
-
-    def counting(self, state):
-        nonlocal completions
-        completions += 1
-        return finish(self, state)
-
-    monkeypatch.setattr(generator._Growth, "finish", counting)
+def test_cut_keeps_the_classes(q, n_max):
+    """The output codes, in order, are those that the canonical-root test
+    accepts on the uncut walk."""
     res = generate_q6(GenSpec(q=q, n_max=n_max))
-    assert completions <= 1.1 * len(res.codes)
-    monkeypatch.setattr(generator._Growth, "_judge", _never_cut)
-    assert generate_q6(GenSpec(q=q, n_max=n_max)).codes == res.codes
+    accepted = [(g.n_vertices, canonical_root_code(g)) for g in _completions(_Uncut(q, n_max))]
+    assert [code for _, code in sorted(row for row in accepted if row[1])] == res.codes
+
+
+@pytest.mark.parametrize("q, n_max", [(3, 32), (4, 40), (5, 32)])
+def test_every_completion_is_kept_with_its_canonical_code(q, n_max, monkeypatch):
+    """Every completion of the cut tree is kept: no root waits in its watch,
+    and the code the growth reads from dart 0's prefix is the one the
+    canonical-root test gives the finished map."""
+    finish = generator._Growth.finish
+    states = {}
+
+    def recording(self, state):
+        g = finish(self, state)
+        states[id(g)] = state
+        return g
+
+    monkeypatch.setattr(generator._Growth, "finish", recording)
+    res = generate_q6(GenSpec(q=q, n_max=n_max))
+    assert len(states) == len(res.graphs)
+    for g, code in zip(res.graphs, res.codes):
+        assert states[id(g)][6] == {}
+        assert code == canonical_root_code(g)
+
+
+def test_a_root_left_waiting_raises(monkeypatch):
+    """A completion that reaches collect with a root still waiting for its
+    comparison with dart 0 is an error, not a kept map."""
+    children = generator._Growth.children
+
+    def waiting(self, state):
+        out = children(self, state)
+        return [c[:6] + ({0: ((1, None),)},) + c[7:] if generator._is_complete(c) else c
+                for c in out]
+
+    monkeypatch.setattr(generator._Growth, "children", waiting)
+    with pytest.raises(InvariantError, match="waiting"):
+        generate_q6(GenSpec(q=4, n_max=16))
 
 
 @pytest.mark.parametrize("q, n_max, every", [(3, 32, 1), (4, 28, 1), (5, 24, 1), (4, 40, 7)])
@@ -203,7 +224,15 @@ def test_outputs_are_canonical_root_representatives(gen, request):
 
 
 def test_repeated_code_raises(monkeypatch):
-    monkeypatch.setattr(generator, "canonical_root_code", lambda g: b"same")
+    """A growth that completed one rooted map twice would keep its class
+    twice; the repeated code is caught."""
+    children = generator._Growth.children
+
+    def twice(self, state):
+        out = children(self, state)
+        return [c for c in out for _ in range(1 + generator._is_complete(c))]
+
+    monkeypatch.setattr(generator._Growth, "children", twice)
     with pytest.raises(InvariantError, match="canonical code"):
         generate_q6(GenSpec(q=4, n_max=16))
 
