@@ -64,11 +64,13 @@ completion is thus grown from a minimal root, and is kept with dart 0's
 prefix, walked to the end, as its code.  A completion with a root still in
 its watch, or two with one code, raise InvariantError.
 
-The states with SPLIT_DEPTH edges, in pre-order, root an ordered list of
-subtrees; each subtree is the unit of work for the checkpoint, and the time
-budget is read before each subtree and every CLOCK_EVERY states inside one.
-Output order is (n, canonical code), and the representatives depend neither
-on the search order nor on SPLIT_DEPTH, so runs are byte-reproducible.
+The units of work are, in pre-order, the states with SPLIT_DEPTH edges and
+the completions with fewer.  _walk_subtree walks one unit's subtree and is
+the only place where a completion becomes a row.  The checkpoint counts
+finished units, and the time budget is read before each unit and every
+CLOCK_EVERY states inside one.  Output order is (n, canonical code), and the
+representatives depend neither on the search order nor on SPLIT_DEPTH, so
+runs are byte-reproducible.
 
 Every face of a completion is a q- or 6-gon, so Euler's formula for a
 3-valent map gives it the characteristic f_q (6 - q) / 6, and the root face
@@ -106,14 +108,14 @@ _Q_FACE_CAP = {3: 4, 4: 6, 5: 12}  # Euler: (6 - q) * f_q = 12
 # one integer gives both the length and whether the chain is the root's.
 _ROOT_FACE = 100
 
-# Edge count of the states that root the subtrees.  Shallow enough that the
-# list of roots is built in milliseconds, deep enough to give 12, 14 and 36
-# subtrees for q = 3, 4, 5 once n_max reaches 20.
+# Edge count of the states that root the units of work.  Shallow enough that
+# the unit list is built in milliseconds, deep enough to give 16, 16 and 36
+# units (4, 2 and 0 of them completions) for q = 3, 4, 5 once n_max is 20.
 SPLIT_DEPTH = 20
 
-# Bumped whenever the checkpoint layout or the meaning of its subtree count
+# Bumped whenever the checkpoint layout or the meaning of its unit count
 # changes; a checkpoint of another version is refused.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 # States a subtree expands between two readings of the clock, so that a run
 # overruns its time budget by at most this many states.
@@ -397,19 +399,19 @@ def generate_q6(
     (reflections included) of connected 3-valent plane maps with all faces
     of size q or 6 and at most n_max vertices.
 
-    With a budget the run may stop early, before a subtree or inside one
-    (the clock is read every CLOCK_EVERY states); the result is then
-    flagged truncated and holds the classes met so far, which may
-    miss some at any n, so it must not be treated as a complete
-    enumeration.  A checkpoint path makes long runs resumable: after each
-    finished subtree the number of finished subtrees and the graphs they
-    accepted, each with the index of its subtree, are written there
-    atomically.  Resuming raises CheckpointError, before the next save,
-    when the file is unreadable or malformed, holds a graph that is not a
-    canonical-root representative or whose subtree is not below 'done', or
-    was written by another format version or for another spec; and when a
-    class of the file is met again (twice in the file, above the split
-    depth, or in a later subtree than the one the file gives it).
+    With a budget the run may stop early, before a unit of work or inside
+    one (the clock is read every CLOCK_EVERY states); the result is then
+    flagged truncated and holds the classes met so far, which may miss
+    some at any n, so it must not be treated as a complete enumeration.
+    A checkpoint path makes long runs resumable: after each finished unit
+    the number of finished units and the graphs they accepted, each with
+    its unit, are written there atomically.  Resuming raises
+    CheckpointError, before any save, when the file is unreadable or
+    malformed, holds a class twice or a graph that is not a canonical-root
+    representative or whose unit is not below 'done', or was written by
+    another format version or for another spec; and later, once the units
+    before it are saved, when a unit meets a class that the file gives to
+    another unit.
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
@@ -417,68 +419,61 @@ def generate_q6(
     def out_of_time() -> bool:
         return budget_seconds is not None and time.monotonic() - start_time > budget_seconds
 
-    # (n, code, graph, index of the accepting subtree or -1 above the split)
-    found: list[tuple[int, bytes, PlaneGraph, int]] = []
-    met: dict[bytes, bool] = {}  # code -> whether the checkpoint file held it
+    # the initial state holds one edge, SPLIT_DEPTH - 1 above the split
+    units = [s for s in _descend(growth, growth.initial(), SPLIT_DEPTH - 1) if s is not None]
+    done = 0
+    rows: list[tuple[int, bytes, PlaneGraph, int]] = []  # (n, code, graph, unit)
+    if checkpoint_path:
+        resumed = _load_checkpoint(checkpoint_path, spec, len(units))
+        if resumed is not None:
+            done, rows = resumed
+    met = dict.fromkeys((row[1] for row in rows), True)  # code -> whether the file holds it
+    result = GenerationResult()
+    for unit in range(done, len(units)):
+        if out_of_time():
+            result.truncated = True
+            break
+        walked, result.truncated = _walk_subtree(growth, units[unit], out_of_time)
+        for n, code, g in walked:
+            if code in met:
+                if met[code]:
+                    raise CheckpointError(
+                        f"{checkpoint_path}: unit {unit} meets a class of the checkpoint"
+                        " again; the file gives it a wrong subtree"
+                    )
+                raise InvariantError("two accepted completions share a canonical code")
+            met[code] = False
+            rows.append((n, code, g, unit))
+        if result.truncated:
+            # a cut unit is not saved as done: a resumed run walks it again
+            break
+        if checkpoint_path:
+            _save_checkpoint(checkpoint_path, spec, unit + 1, rows)
+    rows.sort(key=lambda row: row[:2])
+    result.graphs = [row[2] for row in rows]
+    result.codes = [row[1] for row in rows]
+    return result
 
-    def keep(g: PlaneGraph, code: bytes, subtree: int, in_file: bool = False) -> None:
-        if code in met:
-            if in_file or met[code]:
-                raise CheckpointError(
-                    f"{checkpoint_path}: a class of the checkpoint is met again;"
-                    " the file repeats it or gives it a wrong subtree"
-                )
-            raise InvariantError("two accepted completions share a canonical code")
-        met[code] = in_file
-        found.append((g.n_vertices, code, g, subtree))
 
-    def collect(state, subtree: int) -> None:
+def _walk_subtree(growth: _Growth, root, out_of_time) -> tuple[list, bool]:
+    """The (n, code, graph) of every completion at or below root, in walk
+    order, and whether out_of_time, read every CLOCK_EVERY states, cut the
+    walk short.  Each completion is kept with dart 0's prefix, walked to
+    the end, as its code."""
+    rows = []
+    for state in _descend(growth, root):
+        if state is None:
+            if out_of_time():
+                return rows, True
+            continue
         alpha, watch, prefix = state[0], state[6], state[7]
         if watch:
             raise InvariantError("a completion has a root still waiting to be compared")
         if prefix[1] >= 0:  # the stop dart is matched: walk on to the end
             prefix = partial_prefix(growth.nxt, alpha, 0, prefix)
-        keep(growth.finish(state), _encode(prefix[0]), subtree)
-
-    # the initial state holds one edge, so roots lie SPLIT_DEPTH - 1 below it
-    roots = []
-    for state in _descend(growth, growth.initial(), SPLIT_DEPTH - 1):
-        if state is None:
-            continue
-        if _is_complete(state):
-            collect(state, -1)
-        else:
-            roots.append(state)
-    # completions above the split depth are met again on every run, so the
-    # checkpoint holds only what the subtrees accepted
-    above = len(found)
-    done = 0
-    if checkpoint_path:
-        resumed = _load_checkpoint(checkpoint_path, spec, len(roots))
-        if resumed is not None:
-            done, rows = resumed
-            for g, code, subtree in rows:
-                keep(g, code, subtree, in_file=True)
-    result = GenerationResult()
-    for index in range(done, len(roots)):
-        if out_of_time():
-            result.truncated = True
-            break
-        for state in _descend(growth, roots[index]):
-            if state is not None:
-                collect(state, index)
-            elif out_of_time():
-                result.truncated = True
-                break
-        if result.truncated:
-            # a cut subtree is not saved as done: a resumed run walks it again
-            break
-        if checkpoint_path:
-            _save_checkpoint(checkpoint_path, spec, index + 1, found[above:])
-    found.sort(key=lambda row: row[:2])
-    result.graphs = [row[2] for row in found]
-    result.codes = [row[1] for row in found]
-    return result
+        g = growth.finish(state)
+        rows.append((g.n_vertices, _encode(prefix[0]), g))
+    return rows, False
 
 
 def _is_complete(state) -> bool:
@@ -486,17 +481,18 @@ def _is_complete(state) -> bool:
 
 
 def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:
-    """Yield, in depth-first pre-order, every completed descendant of root
-    and, when stop is given, every incomplete descendant stop edges below
-    root, which is not expanded further.  After every CLOCK_EVERY expanded
-    states it yields None, at which the caller may read the clock."""
-    stack = [iter(growth.children(root))]
-    expanded = 1
+    """Yield, in depth-first pre-order, every completed state at or below
+    root (root itself when it is complete) and, when stop is given, every
+    incomplete descendant stop edges below root, which is not expanded
+    further.  After every CLOCK_EVERY expanded states it yields None, at
+    which the caller may read the clock."""
+    stack = [iter((root,))]
+    expanded = 0
     while stack:
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
-        elif _is_complete(state) or len(stack) == stop:
+        elif _is_complete(state) or len(stack) - 1 == stop:
             yield state
         else:
             stack.append(iter(growth.children(state)))
@@ -536,8 +532,8 @@ def replace_file(path, data: bytes) -> None:
         raise
 
 
-def _load_checkpoint(path, spec, n_subtrees):
-    """The finished subtree count and the (graph, code, subtree) rows of a
+def _load_checkpoint(path, spec, n_units):
+    """The finished unit count and the (n, code, graph, unit) rows of a
     checkpoint, or None when there is no file."""
     try:
         with open(path, "rb") as fp:
@@ -562,12 +558,13 @@ def _load_checkpoint(path, spec, n_subtrees):
             f" not {(spec.q, spec.n_max)}"
         )
     done = payload.get("done")
-    if type(done) is not int or not 0 <= done <= n_subtrees:
-        raise CheckpointError(f"{path}: 'done' must be an integer in 0..{n_subtrees}")
+    if type(done) is not int or not 0 <= done <= n_units:
+        raise CheckpointError(f"{path}: 'done' must be an integer in 0..{n_units}")
     entries = payload.get("graphs")
     if not isinstance(entries, list):
         raise CheckpointError(f"{path}: 'graphs' must be a list")
     rows = []
+    first_row = {}  # code -> the first row that holds it
     for i, entry in enumerate(entries):
         where = f"{path}: graph {i}"
         if not isinstance(entry, dict):
@@ -589,7 +586,10 @@ def _load_checkpoint(path, spec, n_subtrees):
         code = canonical_root_code(g)
         if code is None:
             raise CheckpointError(f"{where} is not rooted at a canonical root")
-        rows.append((g, code, subtree))
+        if code in first_row:
+            raise CheckpointError(f"{where} repeats the class of graph {first_row[code]}")
+        first_row[code] = i
+        rows.append((g.n_vertices, code, g, subtree))
     return done, rows
 
 

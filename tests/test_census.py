@@ -2,7 +2,8 @@
 in census.json and recomputed here.
 
 For each (q, n_max) it holds the per-n class counts and the sha256 of the
-sorted canonical codes; for each listed command, the sha256 of its stdout.
+sorted canonical codes; for each listed command, the sha256 of its stdout;
+and the sha256 of the bytes of a finished run's checkpoint.
 A change that alters codes or output on purpose rewrites the file with
 
     PYTHONPATH=src python3 tests/test_census.py --write
@@ -17,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ COMMANDS = [
     "generate -q 5 --nmax 32 --format plc",
     "generate -q 4 --nmax 40 --format json",
 ]
+CHECKPOINT_SPECS = [(4, 24)]
 
 
 def generation_entry(q: int, n_max: int) -> dict:
@@ -52,8 +55,18 @@ def stdout_sha256(command: str) -> str:
     return hashlib.sha256(out).hexdigest()
 
 
+def checkpoint_sha256(q: int, n_max: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        generate_q6(GenSpec(q=q, n_max=n_max), checkpoint_path=str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def census() -> dict:
     return {
+        "checkpoint_sha256": {
+            f"{q}-{n_max}": checkpoint_sha256(q, n_max) for q, n_max in CHECKPOINT_SPECS
+        },
         "generate_q6": {f"{q}-{n_max}": generation_entry(q, n_max) for q, n_max in SPECS},
         "stdout_sha256": {command: stdout_sha256(command) for command in COMMANDS},
     }
@@ -72,6 +85,11 @@ def test_generation_matches_the_census(recorded, q, n_max):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_matches_the_census(recorded, command):
     assert stdout_sha256(command) == recorded["stdout_sha256"][command]
+
+
+@pytest.mark.parametrize("q, n_max", CHECKPOINT_SPECS)
+def test_checkpoint_matches_the_census(recorded, q, n_max):
+    assert checkpoint_sha256(q, n_max) == recorded["checkpoint_sha256"][f"{q}-{n_max}"]
 
 
 if __name__ == "__main__":

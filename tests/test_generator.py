@@ -183,8 +183,8 @@ def test_every_completion_is_kept_with_its_canonical_code(q, n_max, monkeypatch)
 
 
 def test_a_root_left_waiting_raises(monkeypatch):
-    """A completion that reaches collect with a root still waiting for its
-    comparison with dart 0 is an error, not a kept map."""
+    """A completion that reaches _walk_subtree with a root still waiting for
+    its comparison with dart 0 is an error, not a kept map."""
     children = generator._Growth.children
 
     def waiting(self, state):
@@ -235,6 +235,28 @@ def test_repeated_code_raises(monkeypatch):
     monkeypatch.setattr(generator._Growth, "children", twice)
     with pytest.raises(InvariantError, match="canonical code"):
         generate_q6(GenSpec(q=4, n_max=16))
+
+
+def test_walk_resumes_dart_0s_prefix():
+    """A completion whose dart-0 prefix stops at a dart matched since is kept
+    with that prefix walked on to the end.  Unit 7 of q=4, n_max=88 holds
+    one such completion (n=82) among its 306, and every row's code is the
+    one the canonical-root test gives the finished map."""
+    finished = []
+
+    class Recording(generator._Growth):
+        def finish(self, state):
+            finished.append(state)
+            return super().finish(state)
+
+    growth = Recording(4, 88)
+    units = generator._descend(growth, growth.initial(), generator.SPLIT_DEPTH - 1)
+    unit = [state for state in units if state is not None][7]
+    rows, cut = generator._walk_subtree(growth, unit, lambda: False)
+    assert not cut and len(rows) == 306
+    assert any(state[7][1] >= 0 for state in finished)
+    for _, code, g in rows:
+        assert code == canonical_root_code(g)
 
 
 def test_triangle_family_facts(gen3_20, named_graphs):
@@ -349,6 +371,10 @@ def _graph_row(g, subtree: int = 0) -> dict:
     return {"subtree": subtree, "sigma": list(g.sigma), "vertex_of": list(g.vertex_of)}
 
 
+def _row_graph(row: dict) -> PlaneGraph:
+    return PlaneGraph(sigma=tuple(row["sigma"]), vertex_of=tuple(row["vertex_of"]))
+
+
 def _growth_tree(growth, root=None):
     """Every state of the growth tree below root (the initial state by
     default), parents before their children."""
@@ -460,11 +486,17 @@ def test_checkpoint_resume(tmp_path):
     path = tmp_path / "ckpt.json"
     spec = GenSpec(q=4, n_max=16)
     generate_q6(spec, checkpoint_path=str(path))
-    assert json.loads(path.read_text())["done"] > 0
-    # every subtree is finished, so even a zero budget does not truncate
+    payload = json.loads(path.read_text())
+    assert payload["done"] > 0
+    # every unit is finished, so even a zero budget does not truncate
     resumed = generate_q6(spec, budget_seconds=0.0, checkpoint_path=str(path))
     assert not resumed.truncated
     fresh = generate_q6(spec)
+    # the rows hold each class of the run once, with the cube and the
+    # 6-prism, completed above the split depth
+    rows = [_row_graph(row) for row in payload["graphs"]]
+    assert sorted(map(canonical_code, rows)) == sorted(fresh.codes)
+    assert {canonical_code(make_named(name)) for name in ("cube", "prism(6)")} <= set(fresh.codes)
     assert resumed.codes == fresh.codes
     assert _plc(resumed.graphs) == _plc(fresh.graphs)
 
@@ -544,9 +576,10 @@ def test_checkpoint_malformed(checkpoint, edit):
 def test_checkpoint_version_mismatch(checkpoint):
     payload = json.loads(checkpoint.read_text())
     # format 3 numbered the subtrees of the growth without root-face pruning,
-    # format 4 rows carry no subtree index, and format 5 numbered the
-    # subtrees of the growth without the prefix cut
-    for version in (None, 2, 3, 4, 5):
+    # format 4 rows carry no subtree index, format 5 numbered the subtrees of
+    # the growth without the prefix cut, and format 6 did not count the
+    # completions above the split depth as units
+    for version in (None, 2, 3, 4, 5, 6):
         payload["version"] = version
         checkpoint.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="format"):
@@ -555,39 +588,55 @@ def test_checkpoint_version_mismatch(checkpoint):
 
 def test_checkpoint_graph_not_at_canonical_root(checkpoint, rerooted):
     payload = json.loads(checkpoint.read_text())
-    row = payload["graphs"][0]
-    g = PlaneGraph(sigma=tuple(row["sigma"]), vertex_of=tuple(row["vertex_of"]))
+    # the first row with a hexagon (the cube, in row 0, has none)
+    i, g = next((i, g) for i, g in enumerate(map(_row_graph, payload["graphs"]))
+                if any(len(f) == 6 for f in g.faces))
     on_hexagon = next(f[0] for f in g.faces if len(f) == 6)
-    payload["graphs"][0] = _graph_row(rerooted(g, on_hexagon))
+    payload["graphs"][i] = _graph_row(rerooted(g, on_hexagon))
     checkpoint.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="canonical root"):
         _resume(checkpoint)
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [
-        lambda p: p["graphs"][0],
-        # the cube is completed above the split depth, on every run
-        lambda p: _graph_row(generate_q6(GenSpec(q=4, n_max=8)).graphs[0]),
-    ],
-    ids=["twice-in-file", "above-split"],
-)
-def test_checkpoint_repeated_class(checkpoint, extra):
-    payload = json.loads(checkpoint.read_text())
-    payload["graphs"].append(extra(payload))
-    checkpoint.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="repeats"):
-        _resume(checkpoint)
-
-
 @pytest.fixture(scope="module")
 def checkpoint_24(tmp_path_factory):
-    """The bytes of a finished q=4, n_max=24 run's checkpoint: 14 subtrees,
-    whose graphs were accepted in subtrees 0 to 11."""
+    """The bytes of a finished q=4, n_max=24 run's checkpoint: 16 units,
+    whose graphs were accepted in units 0 to 13."""
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
     generate_q6(GenSpec(q=4, n_max=24), checkpoint_path=str(path))
     return path.read_bytes()
+
+
+def _twice_in_file(payload) -> None:
+    payload["graphs"].append(payload["graphs"][0])
+    payload["done"] = 14  # units 14 and 15 accept no class
+
+
+def _in_a_wrong_unit(payload) -> None:
+    # the class of unit 13 (the last row), given to unit 0 of a file whose
+    # units 0 and 1 are done
+    last = payload["graphs"][-1]
+    payload["graphs"] = [row for row in payload["graphs"] if row["subtree"] < 2]
+    payload["graphs"].append(dict(last, subtree=0))
+    payload["done"] = 2
+
+
+@pytest.mark.parametrize(
+    "edit, match, done_after",
+    [(_twice_in_file, "repeats", 14), (_in_a_wrong_unit, "wrong subtree", 13)],
+    ids=["twice-in-file", "wrong-subtree"],
+)
+def test_checkpoint_repeated_class(tmp_path, checkpoint_24, edit, match, done_after):
+    """A class twice in the file is refused on load, before any save.  A
+    class of the file that a later unit meets again is refused when that
+    unit is walked, after the units before it were saved."""
+    payload = json.loads(checkpoint_24)
+    edit(payload)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=match):
+        generate_q6(GenSpec(q=4, n_max=24), checkpoint_path=str(path))
+    assert json.loads(path.read_text())["done"] == done_after
 
 
 @pytest.mark.parametrize("done", [0, 5, 10, 11])
