@@ -9,10 +9,10 @@ an isomorphism carries one root to the other.
 
 One walk over one root set serves every caller, always in both
 orientations, since classes are taken up to reflection.  ``canonical_form``
-reads the whole walk and yields the canonical code, the order of the
-automorphism group and chirality together; ``canonical_root_code``, the
-checkpoint loader's canonical-root test and the tests' reference for the
-generator's prefix cut, stops it at the first root that beats dart 0:
+reads from it the canonical code, the order of the automorphism group and
+chirality together; ``canonical_root_code``, the checkpoint loader's
+canonical-root test and the tests' reference for the generator's prefix
+cut, reads from it whether dart 0 is a minimal root:
 
 * **Roots.**  Only darts on a face of minimum size are tried, in both
   orientations (the mirror orientation uses the inverse rotation, and a dart
@@ -22,15 +22,26 @@ generator's prefix cut, stops it at the first root that beats dart 0:
   the isomorphism class.  The canonical code is that minimum.
 * **Early abort.**  Each root's code is compared with the best so far while
   it is being built, and the root is dropped as soon as its prefix is
-  larger.  A root that ties runs to the end, so that it is counted.
-* **|Aut| is the number of minimal roots.**  Fix one minimal root r.  For
-  every root with the same code there is exactly one isomorphism carrying
-  r to it, and that is an automorphism (orientation-reversing when the two
-  roots lie in different orientations).  Conversely every automorphism
-  carries r to a root of the same code, because the root set is invariant,
-  and an automorphism is fixed by the image of a single dart.
+  larger.
+* **One walk per orbit of roots.**  When a root's code ties the best, the
+  two BFS orders give an automorphism, best_order[i] -> order[i], which is
+  orientation-reversing when the two roots lie in different orientations.
+  It is kept as a generator.  Automorphisms carry roots to roots of the
+  same code, so a root that the generators found so far carry from a root
+  already walked is skipped.  The first minimal root walked stays the best.
+  Every later minimal root either ties it, which adds a generator carrying
+  the best to it, or lies in the orbit of a walked root of the same code,
+  which was walked after the best and so, by induction, lies in the best
+  root's orbit.  So the minimal roots are exactly the best root's orbit
+  under the generators.
+* **|Aut| is the size of that orbit.**  Every automorphism carries the best
+  root to a minimal root, because the root set is invariant, and is fixed
+  by that image: a dart's image and whether orientation is reversed fix
+  it.  Conversely each minimal root is the image of exactly one.  So |Aut|
+  is the number of minimal roots, and the group the generators generate,
+  whose orbit is that large, is all of Aut.
 * **Chirality.**  The map is chiral when it has no orientation-reversing
-  automorphism, that is when all minimal roots lie in one orientation.
+  automorphism, that is when no generator reverses orientation.
 """
 
 from __future__ import annotations
@@ -59,8 +70,9 @@ class CanonicalForm(NamedTuple):
     chiral: bool
 
 
-def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
-    """BFS code from root, or None as soon as a prefix exceeds best."""
+def _rooted_ints(sigma, root: int, best: list[int] | None):
+    """BFS code from root and the BFS order of its darts, as (code, order),
+    or None as soon as a prefix exceeds best."""
     pos = [-1] * len(sigma)
     pos[root] = 0
     order = [root]
@@ -92,7 +104,7 @@ def _rooted_ints(sigma, root: int, best: list[int] | None) -> list[int] | None:
                         return None
                     best = None
             i += 2
-    return out
+    return out, order
 
 
 def _resume(alpha, root: int, walk):
@@ -206,51 +218,73 @@ def _root_orientations(g: PlaneGraph):
     )
 
 
-def _contenders(orientations):
-    """The one walk over the root set: yield (side, code) for each root, in
-    order, whose code ties or beats the best so far (side 1 is the mirror)."""
-    best = None
-    for side, (table, roots) in enumerate(orientations):
-        for root in roots:
-            code = _rooted_ints(table, root, best)
-            if code is not None:
-                best = code
-                yield side, code
-
-
 def _encode(code: list[int]) -> bytes:
     return np.asarray(code, dtype=">u2").tobytes()
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _orbit_walk(g: PlaneGraph) -> tuple[list[int], list[int], bool]:
+    """The one walk over the root set, one root per orbit of the
+    automorphisms found so far: (code, orbit, chiral), with orbit the
+    minimal roots, numbered side * darts + dart (side 1 is the mirror)."""
+    orientations = _root_orientations(g)
+    nd = len(g.sigma)
+    roots = [side * nd + d for side, (_, ds) in enumerate(orientations) for d in ds]
+    parent = list(range(2 * nd))  # union-find over roots; a class is an orbit
+    walked = [False] * (2 * nd)  # per orbit: holds a walked root
+    best = None
+    chiral = True
+    for x in roots:
+        side, root = divmod(x, nd)
+        top = _find(parent, x)
+        if walked[top]:
+            continue  # its code is the code of a walked root
+        walked[top] = True
+        walk = _rooted_ints(orientations[side][0], root, best)
+        if walk is None:
+            continue
+        code, order = walk
+        if code != best:
+            best, best_order, best_x = code, order, x
+            continue
+        # a tie: best_order[i] -> order[i] is an automorphism, reversing
+        # orientation when the two roots lie on different sides; it joins
+        # the orbit of each root with the orbit of its image
+        flip = side != best_x // nd
+        chiral = chiral and not flip
+        image = [0] * nd
+        for a, b in zip(best_order, order):
+            image[a] = b
+        for y in roots:
+            s, d = divmod(y, nd)
+            u, v = _find(parent, y), _find(parent, (s ^ flip) * nd + image[d])
+            if u != v:
+                parent[u] = v
+                walked[v] = walked[v] or walked[u]
+    top = _find(parent, best_x)
+    return best, [y for y in roots if _find(parent, y) == top], chiral
+
+
 def canonical_form(g: PlaneGraph) -> CanonicalForm:
     """Canonical code, automorphism count and chirality in one pass."""
-    best = None
-    for side, code in _contenders(_root_orientations(g)):
-        if code == best:
-            count += 1
-            sides.add(side)
-        else:
-            best, count, sides = code, 1, {side}
-    return CanonicalForm(code=_encode(best), aut_order=count, chiral=len(sides) == 1)
+    code, orbit, chiral = _orbit_walk(g)
+    return CanonicalForm(code=_encode(code), aut_order=len(orbit), chiral=chiral)
 
 
 def canonical_root_code(g: PlaneGraph) -> bytes | None:
     """The canonical code of g when dart 0, in g's own orientation, is one
     of its minimal roots; None otherwise.
 
-    The walk starts at dart 0 and stops at the first root whose code is
-    strictly smaller.  Of all the rooted maps of one isomorphism class,
-    exactly those rooted at a minimal root pass, and they are all the same
-    rooted map.
+    Of all the rooted maps of one isomorphism class, exactly those rooted
+    at a minimal root pass, and they are all the same rooted map.
     """
-    orientations = _root_orientations(g)
-    if orientations[0][1][0] != 0:
-        return None  # dart 0 is not on a face of minimum size
-    walk = _contenders(orientations)
-    _, best = next(walk)  # dart 0's code
-    if any(code != best for _, code in walk):
-        return None
-    return _encode(best)
+    code, orbit, _ = _orbit_walk(g)
+    return _encode(code) if 0 in orbit else None
 
 
 def canonical_code(g: PlaneGraph) -> bytes:

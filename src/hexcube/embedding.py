@@ -247,6 +247,57 @@ _FIRST_CHUNK = 256
 _CHUNK = 65536
 
 
+def _extend(block: np.ndarray, n: int) -> np.ndarray:
+    """Every one-step extension of each ascending prefix of a 5-subset of
+    range(n) that can still be completed, in lexicographic order."""
+    last = block[:, -1]
+    counts = n - 5 + block.shape[1] - last  # next entry: last+1 .. n-5+len
+    starts = np.cumsum(counts) - counts
+    nxt = np.arange(counts.sum()) + np.repeat(last + 1 - starts, counts)
+    return np.column_stack([np.repeat(block, counts, axis=0), nxt])
+
+
+def _five_subsets(n: int):
+    """The 5-subsets of range(n) in ascending lexicographic order, as
+    (rows, 5) index arrays of _FIRST_CHUNK rows, then twice as many each
+    time up to _CHUNK; the last array may be shorter.
+
+    A chunk is cut from a stack of blocks of prefixes, the next one on
+    top: as many leading prefixes of the top block as fit are completed
+    whole, and when not even the first one fits, it is replaced by its
+    one-step extensions.
+    """
+    # ways[r, m] = C(m, r), by Pascal's rule as running sums
+    ways = np.ones((6, n + 1), dtype=np.int64)
+    ways[1:, 0] = 0
+    for r in range(1, 6):
+        np.cumsum(ways[r - 1, :-1], out=ways[r, 1:])
+    stack = [np.arange(n - 4)[:, None]]
+    size = _FIRST_CHUNK
+    while stack:
+        parts, room = [], size
+        while room and stack:
+            block = stack.pop()
+            # running count of completions: the rest of each subset lies
+            # above its prefix's last entry
+            total = np.cumsum(ways[5 - block.shape[1], n - 1 - block[:, -1]])
+            k = int(np.searchsorted(total, room, side="right"))
+            if k == 0:
+                # the last prefix of a block has one completion, so this
+                # block has more prefixes than the one that does not fit
+                stack += [block[1:], _extend(block[:1], n)]
+                continue
+            if k < len(block):
+                stack.append(block[k:])
+            room -= int(total[k - 1])
+            block = block[:k]
+            while block.shape[1] < 5:
+                block = _extend(block, n)
+            parts.append(block)
+        yield np.concatenate(parts)
+        size = min(2 * size, _CHUNK)
+
+
 def five_gonal_scan(
     dist: np.ndarray, stop_at_first: bool = False
 ) -> list[FiveGonalWitness]:
@@ -255,35 +306,34 @@ def five_gonal_scan(
     Scans the C(n,5) vertex subsets in ascending lexicographic order and the
     10 role splits per subset in ascending position order, so the first
     witness is deterministic.  Returns [] exactly when the metric is
-    5-gonal; n < 5 yields [].
+    5-gonal; n < 5 yields [].  The subsets come in growing chunks from
+    _five_subsets, built by numpy from blocks of prefixes, in the same
+    order as itertools.combinations.  The distances are held in the
+    narrowest signed dtype that holds 10 * max(dist), which bounds both
+    sides of every inequality.
     """
     n = dist.shape[0]
     if n < 5:
         return []
     witnesses: list[FiveGonalWitness] = []
-    flat = dist.ravel()
-    combos = itertools.combinations(range(n), 5)
-    size = _FIRST_CHUNK
-    while True:
-        chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, size)),
-            dtype=np.int64,
-        ).reshape(-1, 5)
-        size = min(2 * size, _CHUNK)
-        if chunk.size == 0:
-            break
+    # signed, and wide enough for -10 * max - 1, so it holds +-10 * max
+    dtype = np.min_scalar_type(-1 - 10 * int(dist.max()))
+    flat = dist.astype(dtype).ravel()
+    for chunk in _five_subsets(n):
         # one row per vertex pair, one column per subset
         cols = chunk.T.copy()
-        pair = np.empty((len(_ROLE_SPLITS), len(chunk)), dtype=dist.dtype)
+        pair = np.empty((len(_ROLE_SPLITS), len(chunk)), dtype=dtype)
         for k, (i, j) in enumerate(_ROLE_SPLITS):
             flat.take(cols[i] * n + cols[j], out=pair[k])
         left = pair[_LEFT_PAIRS[:, 0]]
         for k in range(1, 4):
             left += pair[_LEFT_PAIRS[:, k]]
         # right minus left, where right plus left is the sum over all pairs
-        deficits = pair.sum(axis=0, dtype=pair.dtype) - 2 * left
-        bad = np.argwhere(deficits.T < 0)
-        for row, si in bad:
+        deficits = pair.sum(axis=0, dtype=dtype) - 2 * left
+        negative = deficits < 0
+        if not negative.any():
+            continue
+        for row, si in np.argwhere(negative.T):
             combo = chunk[row]
             ia, ib = _ROLE_SPLITS[si]
             rest = [k for k in range(5) if k not in (ia, ib)]

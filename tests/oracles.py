@@ -18,10 +18,15 @@
 * ``are_isomorphic`` is an explicit isomorphism search by dart
   propagation, and ``_try_dart_map`` its single-root step; they cross-check
   the canonical codes, the automorphism counts and chirality.
+* ``canonical_form_oracle`` is the canonical walk without orbit pruning:
+  every root that ties the best code runs to the end and is counted, so
+  |Aut| is the number of minimal roots and the map is chiral when they all
+  lie in one orientation.
 """
 
 from __future__ import annotations
 
+from hexcube.canonical import CanonicalForm, _encode, _root_orientations, _rooted_ints
 from hexcube.plane_graph import MapError, PlaneGraph, is_q6, sigma_inverse
 
 _Q_CAP = {3: 4, 4: 6, 5: 12}
@@ -189,3 +194,20 @@ def are_isomorphic(g: PlaneGraph, h: PlaneGraph, include_reflection: bool = True
             if _try_dart_map(g.sigma, hs, root):
                 return True
     return False
+
+
+def canonical_form_oracle(g: PlaneGraph) -> CanonicalForm:
+    """canonical_form by walking every root that ties or beats the best so
+    far to the end, in the same root order."""
+    best = None
+    for side, (table, roots) in enumerate(_root_orientations(g)):
+        for root in roots:
+            walk = _rooted_ints(table, root, best)
+            if walk is None:
+                continue
+            if walk[0] == best:
+                count += 1
+                sides.add(side)
+            else:
+                best, count, sides = walk[0], 1, {side}
+    return CanonicalForm(code=_encode(best), aut_order=count, chiral=len(sides) == 1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,8 +17,9 @@ from hexcube import (
     is_chiral,
     mirror,
 )
+import hexcube.canonical
 from hexcube.canonical import canonical_root_code
-from oracles import _try_dart_map, are_isomorphic, enumerate_rotation_maps
+from oracles import _try_dart_map, are_isomorphic, canonical_form_oracle, enumerate_rotation_maps
 
 # GC(k,l) of the cube with k^2 + kl + l^2 <= 7; GC(2,1) is chiral
 SMALL_GC = [(1, 0), (1, 1), (2, 0), (2, 1)]
@@ -165,3 +167,46 @@ def test_form_invariant_under_relabeling_and_mirror(symmetry_cases, data):
     form = canonical_form(g)
     assert canonical_form(h) == form
     assert canonical_form(mirror(h)) == form
+
+
+def test_orbit_walk_matches_the_oracle(
+    named_graphs, symmetry_cases, gc_cubes, gen3_20, gen4_48, gen5_36
+):
+    """The walk that skips roots by orbit gives the code, |Aut| and chirality
+    of the walk that runs every tying root, on relabelled and mirrored
+    copies too."""
+    rng = random.Random(11)
+    graphs = [
+        *named_graphs.values(),
+        *symmetry_cases.values(),
+        *gc_cubes,
+        *gen3_20.graphs,
+        *gen4_48.graphs,
+        *gen5_36.graphs,
+    ]
+    for g in graphs:
+        form = canonical_form_oracle(g)
+        for h in (g, shuffled_copy(g, rng), mirror(shuffled_copy(g, rng))):
+            assert canonical_form(h) == form
+
+
+def test_orbit_walk_walks_few_roots_of_a_gc_cube(monkeypatch):
+    """Every walked root that ties the best adds an automorphism outside the
+    group found so far, so the group at least doubles: a GC cube, whose 48
+    roots are all minimal or fall in two orbits, walks at most
+    2 + log2 |Aut| of them."""
+    walks = []
+    rooted_ints = hexcube.canonical._rooted_ints
+
+    def counted(*args):
+        walks.append(args[1])
+        return rooted_ints(*args)
+
+    monkeypatch.setattr(hexcube.canonical, "_rooted_ints", counted)
+    for k in range(1, 6):
+        for l in range(k + 1):
+            if 8 * (k * k + k * l + l * l) > 224:
+                continue
+            walks.clear()
+            form = canonical_form(goldberg_coxeter_cube(k, l))
+            assert len(walks) <= 2 + math.ceil(math.log2(form.aut_order)), (k, l)

@@ -33,6 +33,11 @@ COMMANDS = [
     "reproduce-zone-computation --nmax 40",
     "generate -q 5 --nmax 32 --format plc",
     "generate -q 4 --nmax 40 --format json",
+    # the canonical walk's orbit pruning and the full 5-gonal scan: an
+    # embeddable map with |Aut| 48, one with |Aut| 12, and one with witnesses
+    "check --named chamfered_cube --five-gonal full",
+    "check --named twisted_chamfered_cube --five-gonal full",
+    "check --named truncated_tetrahedron --five-gonal full",
 ]
 CHECKPOINT_SPECS = [(4, 24)]
 

@@ -282,6 +282,37 @@ def test_five_gonal_first_witness_on_chunk_boundary(monkeypatch, named_graphs):
         assert five_gonal_scan(dist) == full
 
 
+@pytest.mark.parametrize(
+    "first, cap, n_max",
+    # one-subset and seven-subset chunks split prefixes at every level; they
+    # run on small n only, because each chunk costs a few numpy calls
+    [(1, 1, 14), (1, 7, 20), (hexcube.embedding._FIRST_CHUNK, hexcube.embedding._CHUNK, 40)],
+)
+def test_five_subsets_match_combinations(monkeypatch, first, cap, n_max):
+    """The chunks list the 5-subsets in itertools order, in chunks of the
+    first size doubling up to the cap."""
+    monkeypatch.setattr(hexcube.embedding, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(hexcube.embedding, "_CHUNK", cap)
+    for n in range(5, n_max + 1):
+        chunks = list(hexcube.embedding._five_subsets(n))
+        want = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), 5)), dtype=np.intp
+        ).reshape(-1, 5)
+        assert np.array_equal(np.concatenate(chunks), want), n
+        sizes = [first * 2**i for i in range(len(chunks))]
+        sizes = [min(size, cap) for size in sizes]
+        sizes[-1] = len(want) - sum(sizes[:-1])
+        assert [len(c) for c in chunks] == sizes, n
+
+
+def test_five_gonal_scan_widens_the_distance_dtype(named_graphs):
+    """Distances of 12,000 overflow the narrow dtypes: 10 * max needs int32."""
+    dist = all_pairs_distances(named_graphs["truncated_tetrahedron"]) * 4000
+    full = five_gonal_oracle(dist)
+    assert full and five_gonal_scan(dist) == full
+    assert five_gonal_scan(dist, stop_at_first=True) == [full[0]]
+
+
 def test_witness_deficit_matches_metric(named_graphs):
     dist = all_pairs_distances(named_graphs["truncated_tetrahedron"])
     w = five_gonal_scan(dist, stop_at_first=True)[0]
