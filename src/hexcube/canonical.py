@@ -46,7 +46,6 @@ cut, reads from it whether dart 0 is a minimal root:
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -107,17 +106,6 @@ def _rooted_ints(sigma, root: int, best: list[int] | None):
     return out, order
 
 
-def _resume(alpha, root: int, walk):
-    """The BFS state (pos, order, k) of a walk from root: fresh when walk is
-    None, else a copy of walk, with pos grown to the darts of alpha."""
-    if walk is None:
-        pos = [-1] * len(alpha)
-        pos[root] = 0
-        return pos, [root], 0
-    pos, order, k = walk
-    return pos + [-1] * (len(alpha) - len(pos)), order.copy(), k
-
-
 def partial_prefix(sigma, alpha, root: int, previous=None):
     """The fixed prefix of the BFS code from root of a partial map, whose
     alpha is -1 at unmatched darts, as (code, stop, pos, order).
@@ -132,12 +120,17 @@ def partial_prefix(sigma, alpha, root: int, previous=None):
     """
     if previous is None:
         code = []
-        pos, order, k = _resume(alpha, root, None)
+        pos = [-1] * len(alpha)
+        pos[root] = 0
+        order = [root]
+        k = 0
     else:
         code = previous[0][:-1]  # the stop dart is walked again
-        _, _, pos, order = previous
-        pos, order, k = _resume(alpha, root, (pos, order, len(code) >> 1))
-    for d in islice(order, k, None):
+        pos = previous[2] + [-1] * (len(alpha) - len(previous[2]))
+        order = previous[3].copy()
+        k = len(code) >> 1
+    while k < len(order):
+        d = order[k]
         s = sigma[d]
         ps = pos[s]
         if ps < 0:
@@ -152,6 +145,7 @@ def partial_prefix(sigma, alpha, root: int, previous=None):
             pa = pos[a] = len(order)
             order.append(a)
         code.append(pa)
+        k += 1
     return code, -1, pos, order
 
 
@@ -165,16 +159,27 @@ def partial_compare(sigma, alpha, root: int, prefix: list[int], stop: int, walk=
     and 1 when it is larger: every completion keeps that order.  When one
     prefix ends first the order is not yet known: sign is 0 and blocker is
     the unmatched dart that ends the shorter prefix, which alone can decide
-    it once it is matched; the returned walk, passed back in then, resumes
-    the comparison where it stopped instead of walking again from root.
-    Equal codes of a complete map give (0, -1, None).
+    it once it is matched.  The returned walk (pos, order, k), the BFS
+    positions, the BFS order and the index in it of the dart to walk next,
+    is resumed where it stopped when it is passed back in then, instead of
+    walking again from root; it is copied, not changed, because the
+    children of one state share it.  Equal codes of a complete map give
+    (0, -1, None).
     """
-    pos, order, k = _resume(alpha, root, walk)
+    if walk is None:
+        pos = [-1] * len(alpha)
+        pos[root] = 0
+        order = [root]
+        k = 0
+    else:
+        pos = walk[0] + [-1] * (len(alpha) - len(walk[0]))
+        order = walk[1].copy()
+        k = walk[2]
     n = len(prefix)
     top = len(order)
     i = 2 * k
-    # a list iterator sees the darts appended while it runs
-    for d in islice(order, k, None):
+    while k < top:
+        d = order[k]
         s = sigma[d]
         ps = pos[s]
         if ps < 0:
@@ -186,9 +191,9 @@ def partial_compare(sigma, alpha, root: int, prefix: list[int], stop: int, walk=
             return (-1 if ps < b else 1), -1, None
         a = alpha[d]
         if a < 0:
-            return 0, d, (pos, order, i >> 1)
+            return 0, d, (pos, order, k)
         if i + 1 == n:
-            return 0, stop, (pos, order, i >> 1)
+            return 0, stop, (pos, order, k)
         pa = pos[a]
         if pa < 0:
             pa = pos[a] = top
@@ -198,6 +203,7 @@ def partial_compare(sigma, alpha, root: int, prefix: list[int], stop: int, walk=
         if pa != b:
             return (-1 if pa < b else 1), -1, None
         i += 2
+        k += 1
     return 0, -1, None
 
 

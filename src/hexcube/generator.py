@@ -52,9 +52,16 @@ both are fixed, that root beats dart 0 in every completion, and the state
 is dropped.  A root found larger is dropped for good.  Any other root
 waits, in the state's watch, for the unmatched dart that ends the shorter
 of the two prefixes (canonical.partial_compare): only matching that dart
-can decide it, so a child judges just the roots waiting for d or e and
-those of the q-gons it closes, and resumes each comparison, and dart 0's
-prefix, where it stopped.
+can decide it, so the judgement of a child made by alpha[d] = e compares
+just the roots waiting for d or e and those of the q-gons it closes, and
+resumes each comparison, and dart 0's prefix, where it stopped.
+
+A child carries that judgement, pending, and runs it when it is expanded,
+once its partner loop has found a legal extension: a dead end, which has
+no completions, is never judged, and a state the judgement cuts lists no
+children.  Two kinds of state are judged as they are made instead: a
+completion, so that every kept one has an empty watch, and a state at the
+split depth, so that the units are the states that the cut keeps there.
 
 The cut is the only canonical test.  The smallest faces of a completion are
 its q-gons, so by the time it completes each of their roots, in both
@@ -180,12 +187,15 @@ class _Growth:
         self.fits = [s <= 6 or root < s <= root + q for s in range(2 * root)]
         self.wide = nd + 1 > 255  # dart positions no longer fit in one byte
 
-    # state: (alpha, colors, count_q, low, other, clen, watch, prefix);
-    # alpha covers the darts of the used vertices, other and clen those and
-    # the next fresh vertex's; watch maps an unmatched dart to the roots
-    # whose comparison with dart 0 waits for it, with the walk to resume,
-    # and prefix is dart 0's partial_prefix, resumed when it is next read if
-    # its stop dart has been matched
+    # state: (alpha, colors, count_q, low, other, clen, watch, prefix,
+    # pending); alpha covers the darts of the used vertices, other and clen
+    # those and the next fresh vertex's; watch maps an unmatched dart to the
+    # roots whose comparison with dart 0 waits for it, with the walk to
+    # resume, and prefix is dart 0's partial_prefix, resumed when it is next
+    # read if its stop dart has been matched.  pending is the state's own
+    # judgement, not yet run: (d, e, roots) for the edge alpha[d] = e that
+    # made it and the roots it is to compare, or None when it has none or it
+    # has run.  Until it runs, watch and prefix are the parent's
     def initial(self):
         alpha = [-1] * 6
         alpha[0], alpha[3] = 3, 0
@@ -194,12 +204,15 @@ class _Growth:
         # 2 and 5, and the fresh vertex's darts 6, 7, 8
         other = [4, 3, 2, 1, 0, 5, 6, 7, 8]
         clen = [_ROOT_FACE + 2, 2, 1, 2, _ROOT_FACE + 2, 1, 1, 1, 1]
-        return (alpha, colors, 0, 1, other, clen, {}, partial_prefix(self.nxt, alpha, 0))
+        return (alpha, colors, 0, 1, other, clen, {}, partial_prefix(self.nxt, alpha, 0), None)
 
     def children(self, state):
-        """All legal one-edge extensions that the prefix cut keeps, in
-        deterministic order."""
-        alpha, colors, count_q, low, other, clen, watch, prefix = state
+        """All legal one-edge extensions of state, in deterministic order,
+        or none when the state's own judgement cuts it.  The judgement runs
+        only once a legal extension is found, so a dead end is never
+        judged; each child carries its own, except a completion, which is
+        judged here and left out when it is cut."""
+        alpha, colors, count_q, low, other, clen, watch, prefix, pending = state
         nxt, closing, fits = self.nxt, self.closing, self.fits
         d = low
         vd = d // 3
@@ -210,7 +223,6 @@ class _Growth:
         next_d = nxt[d]
         tail_next, len_next = other[next_d], clen[next_d]
         room = self.cap_q - count_q
-        waiting_d = watch.get(d, ())
         # the partners: the other tails around d's open face, in increasing
         # order, then dart nd of a fresh vertex
         partners = []
@@ -222,6 +234,7 @@ class _Growth:
         if nd < self.max_darts:
             partners.append(nd)
         out = []
+        waiting_d = None  # read once the state's own judgement has run
         for e in partners:
             if e < nd and colors is not None and colors[vd] == colors[e // 3]:
                 continue
@@ -256,6 +269,13 @@ class _Growth:
                 q_e = 0
             if nq > room:
                 continue
+            if waiting_d is None:
+                if pending is not None:
+                    state = self.settle(state)
+                    if state is None:
+                        return []  # another root beats dart 0 in every completion
+                    watch, prefix = state[6], state[7]
+                waiting_d = watch.get(d, ())
             if e == nd:
                 alpha2 = alpha + [-1, -1, -1]
                 colors2 = colors + [1 - colors[vd]] if colors is not None else None
@@ -278,24 +298,35 @@ class _Growth:
             nd2 = len(alpha2)
             while low2 < nd2 and alpha2[low2] >= 0:
                 low2 += 1
-            # the roots to judge: those waiting for d or e, and those of the
-            # q-gons just closed
-            judge = waiting_d
+            # the roots the child is to judge: those waiting for d or e, and
+            # those of the q-gons just closed
+            roots = waiting_d
             if e in watch:
-                judge = judge + watch[e]
+                roots = roots + watch[e]
             if q_d:
-                judge = judge + self._face_roots(alpha2, d)
+                roots = roots + self._face_roots(alpha2, d)
             if q_e:
-                judge = judge + self._face_roots(alpha2, e)
-            if judge:
-                child = self._judge(alpha2, watch, prefix, d, e, judge)
+                roots = roots + self._face_roots(alpha2, e)
+            child = (alpha2, colors2, count_q + nq, low2, other2, clen2, watch, prefix,
+                     (d, e, roots) if roots else None)
+            if low2 == nd2:  # a completion is judged as it is made
+                child = self.settle(child)
                 if child is None:
-                    continue  # another root beats dart 0 in every completion
-                watch2, prefix2 = child
-            else:
-                watch2, prefix2 = watch, prefix
-            out.append((alpha2, colors2, count_q + nq, low2, other2, clen2, watch2, prefix2))
+                    continue
+            out.append(child)
         return out
+
+    def settle(self, state):
+        """state with its own judgement run: None when it cuts the state,
+        else the state with the watch and prefix that the judgement leaves
+        and nothing pending."""
+        pending = state[8]
+        if pending is None:
+            return state
+        judged = self._judge(state[0], state[6], state[7], *pending)
+        if judged is None:
+            return None
+        return state[:6] + judged + (None,)
 
     def _face_roots(self, alpha, x) -> tuple:
         """The roots on the closed q-gon through dart x, as (root, None)
@@ -314,10 +345,11 @@ class _Growth:
                 return tuple(roots)
 
     def _judge(self, alpha, watch, prefix, d, e, roots):
-        """Compare each of roots, a tuple of (root, walk), with dart 0 after
-        alpha[d] = e.  None when one of them is smaller in every completion;
-        otherwise the child's watch and prefix, without the roots that are
-        larger and with the others waiting for their new blockers."""
+        """Compare each of roots, a tuple of (root, walk), with dart 0 in
+        the state that alpha[d] = e made, whose parent left watch and
+        prefix.  None when one of them is smaller in every completion;
+        otherwise the state's own watch and prefix, without the roots that
+        are larger and with the others waiting for their new blockers."""
         if prefix[1] >= 0 and alpha[prefix[1]] >= 0:
             prefix = partial_prefix(self.nxt, alpha, 0, prefix)
         code, stop = prefix[0], prefix[1]
@@ -409,9 +441,9 @@ def generate_q6(
     CheckpointError, before any save, when the file is unreadable or
     malformed, holds a class twice or a graph that is not a canonical-root
     representative or whose unit is not below 'done', or was written by
-    another format version or for another spec; and later, once the units
-    before it are saved, when a unit meets a class that the file gives to
-    another unit.
+    another format version or for another spec; and later, when a unit
+    meets a class that the file gives to another unit, after writing the
+    file back as it was loaded, over the saves of the units before it.
     """
     growth = _Growth(spec.q, spec.n_max)
     start_time = time.monotonic()
@@ -426,7 +458,7 @@ def generate_q6(
     if checkpoint_path:
         resumed = _load_checkpoint(checkpoint_path, spec, len(units))
         if resumed is not None:
-            done, rows = resumed
+            done, rows, loaded = resumed
     met = dict.fromkeys((row[1] for row in rows), True)  # code -> whether the file holds it
     result = GenerationResult()
     for unit in range(done, len(units)):
@@ -437,6 +469,7 @@ def generate_q6(
         for n, code, g in walked:
             if code in met:
                 if met[code]:
+                    replace_file(checkpoint_path, loaded)  # leave the refused file as it was
                     raise CheckpointError(
                         f"{checkpoint_path}: unit {unit} meets a class of the checkpoint"
                         " again; the file gives it a wrong subtree"
@@ -483,17 +516,21 @@ def _is_complete(state) -> bool:
 def _descend(growth: _Growth, root, stop: int | None = None) -> Iterator:
     """Yield, in depth-first pre-order, every completed state at or below
     root (root itself when it is complete) and, when stop is given, every
-    incomplete descendant stop edges below root, which is not expanded
-    further.  After every CLOCK_EVERY expanded states it yields None, at
-    which the caller may read the clock."""
+    incomplete descendant stop edges below root that its own judgement
+    keeps, which is not expanded further.  After every CLOCK_EVERY expanded
+    states it yields None, at which the caller may read the clock."""
     stack = [iter((root,))]
     expanded = 0
     while stack:
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
-        elif _is_complete(state) or len(stack) - 1 == stop:
+        elif _is_complete(state):
             yield state
+        elif len(stack) - 1 == stop:
+            state = growth.settle(state)  # the units are the states the cut keeps here
+            if state is not None:
+                yield state
         else:
             stack.append(iter(growth.children(state)))
             expanded += 1
@@ -533,8 +570,8 @@ def replace_file(path, data: bytes) -> None:
 
 
 def _load_checkpoint(path, spec, n_units):
-    """The finished unit count and the (n, code, graph, unit) rows of a
-    checkpoint, or None when there is no file."""
+    """The finished unit count, the (n, code, graph, unit) rows and the
+    bytes of a checkpoint, or None when there is no file."""
     try:
         with open(path, "rb") as fp:
             raw = fp.read()
@@ -590,7 +627,7 @@ def _load_checkpoint(path, spec, n_units):
             raise CheckpointError(f"{where} repeats the class of graph {first_row[code]}")
         first_row[code] = i
         rows.append((g.n_vertices, code, g, subtree))
-    return done, rows
+    return done, rows, raw
 
 
 def _int_tuple(value, what: str) -> tuple[int, ...]:

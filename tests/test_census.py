@@ -3,7 +3,12 @@ in census.json and recomputed here.
 
 For each (q, n_max) it holds the per-n class counts and the sha256 of the
 sorted canonical codes; for each listed command, the sha256 of its stdout;
-and the sha256 of the bytes of a finished run's checkpoint.
+and the sha256 of the bytes of a finished run's checkpoint.  The larger
+sizes in SLOW_SPECS take seconds each and are marked slow, so the default
+run leaves them out; run them before a change to the generator with
+
+    PYTHONPATH=src python3 -m pytest -q -m slow tests/test_census.py
+
 A change that alters codes or output on purpose rewrites the file with
 
     PYTHONPATH=src python3 tests/test_census.py --write
@@ -28,6 +33,7 @@ from hexcube import GenSpec, generate_q6
 CENSUS = Path(__file__).with_name("census.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
 SPECS = [(3, 60), (4, 64), (5, 40)]
+SLOW_SPECS = [(3, 80), (4, 96), (5, 44)]
 COMMANDS = [
     "verify-theorem --nmax 32",
     "reproduce-zone-computation --nmax 40",
@@ -72,7 +78,9 @@ def census() -> dict:
         "checkpoint_sha256": {
             f"{q}-{n_max}": checkpoint_sha256(q, n_max) for q, n_max in CHECKPOINT_SPECS
         },
-        "generate_q6": {f"{q}-{n_max}": generation_entry(q, n_max) for q, n_max in SPECS},
+        "generate_q6": {
+            f"{q}-{n_max}": generation_entry(q, n_max) for q, n_max in SPECS + SLOW_SPECS
+        },
         "stdout_sha256": {command: stdout_sha256(command) for command in COMMANDS},
     }
 
@@ -82,7 +90,9 @@ def recorded() -> dict:
     return json.loads(CENSUS.read_text())
 
 
-@pytest.mark.parametrize("q, n_max", SPECS)
+@pytest.mark.parametrize(
+    "q, n_max", SPECS + [pytest.param(*spec, marks=pytest.mark.slow) for spec in SLOW_SPECS]
+)
 def test_generation_matches_the_census(recorded, q, n_max):
     assert generation_entry(q, n_max) == recorded["generate_q6"][f"{q}-{n_max}"]
 

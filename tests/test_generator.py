@@ -197,24 +197,63 @@ def test_a_root_left_waiting_raises(monkeypatch):
         generate_q6(GenSpec(q=4, n_max=16))
 
 
+class _RecordingCuts(generator._Growth):
+    """The growth, keeping every state that its own judgement cuts."""
+
+    def __init__(self, q, n_max):
+        super().__init__(q, n_max)
+        self.cut = []
+
+    def settle(self, state):
+        settled = super().settle(state)
+        if settled is None:
+            self.cut.append(state)
+        return settled
+
+
 @pytest.mark.parametrize("q, n_max, every", [(3, 32, 1), (4, 28, 1), (5, 24, 1), (4, 40, 7)])
 def test_no_completion_below_a_cut_state_is_canonical(q, n_max, every):
-    """Every child that the cut drops (every one at the smaller sizes, each
-    7th at (4, 40)) roots an uncut subtree none of whose completions passes
-    the canonical-root test: each cut is certified."""
-    growth = generator._Growth(q, n_max)
+    """Every state that its own judgement cuts (every one at the smaller
+    sizes, each 7th at (4, 40)), whether it is judged when it is expanded or,
+    being a completion, when it is made, roots an uncut subtree none of whose
+    completions passes the canonical-root test: each cut is certified."""
+    growth = _RecordingCuts(q, n_max)
     uncut = _Uncut(q, n_max)
-    cut_states = []
-    for state in _growth_tree(growth):
-        if generator._is_complete(state):
-            continue
-        kept = {tuple(child[0]) for child in growth.children(state)}
-        cut_states += [c for c in uncut.children(state) if tuple(c[0]) not in kept]
-    assert cut_states
-    for state in cut_states[::every]:
+    for _ in _growth_tree(growth):
+        pass
+    assert any(not generator._is_complete(state) for state in growth.cut)
+    for state in growth.cut[::every]:
         for below in _growth_tree(uncut, state):
             if generator._is_complete(below):
                 assert canonical_root_code(uncut.finish(below)) is None
+
+
+def test_a_dead_end_is_never_judged(monkeypatch):
+    """A state with no legal extension has no completion below it, so its
+    judgement could not change the output: in a run at (5, 32), no state
+    whose partner loop finds no legal extension is passed to _judge, save
+    the roots of units, which are judged before they are expanded so that
+    the unit list does not depend on when states are judged."""
+    uncut = _Uncut(5, 32)
+    judge, children = generator._Growth._judge, generator._Growth.children
+    judged, dead_ends = set(), set()
+
+    def judging(self, alpha, watch, prefix, d, e, roots):
+        judged.add(tuple(alpha))
+        return judge(self, alpha, watch, prefix, d, e, roots)
+
+    def expanding(self, state):
+        alpha = state[0]
+        edges = (len(alpha) - alpha.count(-1)) // 2
+        if edges != generator.SPLIT_DEPTH and not children(uncut, state):
+            dead_ends.add(tuple(alpha))
+        return children(self, state)
+
+    monkeypatch.setattr(generator._Growth, "_judge", judging)
+    monkeypatch.setattr(generator._Growth, "children", expanding)
+    generate_q6(GenSpec(q=5, n_max=32))
+    assert len(dead_ends) > 1000 and len(judged) > 1000
+    assert not dead_ends & judged
 
 
 @pytest.mark.parametrize("gen", ["gen3_20", "gen4_48", "gen5_36"])
@@ -426,18 +465,21 @@ def _face_walks(alpha):
     return chains, faces
 
 
-# incomplete states and completions of the growth tree.  The prefix cut
-# drops every state below which another root of a closed q-gon is certain to
-# beat dart 0, and the partners of d are the tails around d's open face, so
-# each class is completed once (test_cut_keeps_the_classes checks the codes
-# against the uncut walk).  Without the cut and with every unmatched dart
+# incomplete states listed, those of them that their own judgement keeps,
+# and completions of the growth tree.  The prefix cut drops every state
+# below which another root of a closed q-gon is certain to beat dart 0, and
+# the partners of d are the tails around d's open face, so each class is
+# completed once (test_cut_keeps_the_classes checks the codes against the
+# uncut walk).  An incomplete state is judged when it is expanded, so the
+# states it cuts are listed too; the kept ones are the tree that judged
+# each state as it was made.  Without the cut and with every unmatched dart
 # as a partner the tree held (1034, 56), (4240, 140), (8333, 6) and
-# (71512, 307).
+# (71512, 307) incomplete states and completions.
 GROWTH_TREE_SIZES = {
-    (3, 32): (468, 20),
-    (4, 28): (800, 18),
-    (5, 24): (1306, 2),
-    (5, 32): (4358, 14),
+    (3, 32): (538, 468, 20),
+    (4, 28): (903, 800, 18),
+    (5, 24): (1782, 1306, 2),
+    (5, 32): (5499, 4358, 14),
 }
 
 
@@ -449,8 +491,10 @@ def test_chain_tables_match_a_walk_of_alpha(q, n_max):
     q-gons.  Every completion is simple: no loop and no vertex pair joined
     twice, although the growth never tests for either."""
     root = generator._ROOT_FACE
-    incomplete = complete = 0
-    for alpha, _, count_q, low, other, clen, _, _ in _growth_tree(generator._Growth(q, n_max)):
+    growth = generator._Growth(q, n_max)
+    incomplete = kept = complete = 0
+    for state in _growth_tree(growth):
+        alpha, _, count_q, low, other, clen, _, _, _ = state
         chains, faces = _face_walks(alpha)
         for head, tail, darts in chains:
             length = len(darts) + (root if 0 in darts else 0)
@@ -468,7 +512,8 @@ def test_chain_tables_match_a_walk_of_alpha(q, n_max):
             complete += 1
         else:
             incomplete += 1
-    assert (incomplete, complete) == GROWTH_TREE_SIZES[q, n_max]
+            kept += growth.settle(state) is not None
+    assert (incomplete, kept, complete) == GROWTH_TREE_SIZES[q, n_max]
 
 
 @pytest.mark.parametrize("q", [4, 5])
@@ -622,21 +667,24 @@ def _in_a_wrong_unit(payload) -> None:
 
 
 @pytest.mark.parametrize(
-    "edit, match, done_after",
-    [(_twice_in_file, "repeats", 14), (_in_a_wrong_unit, "wrong subtree", 13)],
+    "edit, match",
+    [(_twice_in_file, "repeats"), (_in_a_wrong_unit, "wrong subtree")],
     ids=["twice-in-file", "wrong-subtree"],
 )
-def test_checkpoint_repeated_class(tmp_path, checkpoint_24, edit, match, done_after):
+def test_checkpoint_repeated_class(tmp_path, checkpoint_24, edit, match):
     """A class twice in the file is refused on load, before any save.  A
     class of the file that a later unit meets again is refused when that
-    unit is walked, after the units before it were saved."""
+    unit is walked, after the units before it were saved; the file is then
+    written back as it was loaded.  Either way the refused file is left
+    with the bytes it had."""
     payload = json.loads(checkpoint_24)
     edit(payload)
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(payload))
+    before = path.read_bytes()
     with pytest.raises(CheckpointError, match=match):
         generate_q6(GenSpec(q=4, n_max=24), checkpoint_path=str(path))
-    assert json.loads(path.read_text())["done"] == done_after
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("done", [0, 5, 10, 11])
