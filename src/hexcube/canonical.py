@@ -5,7 +5,9 @@ darts from the root: darts are numbered in the order the search meets them,
 exploring sigma then alpha from each dart, and the code lists, for each
 dart in that order, the numbers of its sigma- and alpha-images.  The code
 determines the rooted map, so two rooted maps get equal codes exactly when
-an isomorphism carries one root to the other.
+an isomorphism carries one root to the other.  It is defined once, by the
+walk of a partial map in ``partial_prefix``, which ``partial_compare`` runs
+against another root's code; a complete map is read with alpha = d ^ 1.
 
 One walk over one root set serves every caller, always in both
 orientations, since classes are taken up to reflection.  ``canonical_form``
@@ -20,9 +22,10 @@ cut, reads from it whether dart 0 is a minimal root:
   Isomorphisms and reflections preserve face sizes, so this root set is
   carried onto itself and the minimum code over it is still an invariant of
   the isomorphism class.  The canonical code is that minimum.
-* **Early abort.**  Each root's code is compared with the best so far while
-  it is being built, and the root is dropped as soon as its prefix is
-  larger.
+* **Early abort.**  Each root after the first is compared with the best so
+  far by ``partial_compare``, which stops at the first entry where the two
+  codes differ: a larger root is dropped there, and a smaller one is walked
+  again by ``partial_prefix`` for its code and BFS order.
 * **One walk per orbit of roots.**  When a root's code ties the best, the
   two BFS orders give an automorphism, best_order[i] -> order[i], which is
   orientation-reversing when the two roots lie in different orientations.
@@ -69,54 +72,17 @@ class CanonicalForm(NamedTuple):
     chiral: bool
 
 
-def _rooted_ints(sigma, root: int, best: list[int] | None):
-    """BFS code from root and the BFS order of its darts, as (code, order),
-    or None as soon as a prefix exceeds best."""
-    pos = [-1] * len(sigma)
-    pos[root] = 0
-    order = [root]
-    out = []
-    i = 0
-    for d in order:
-        s = sigma[d]
-        ps = pos[s]
-        if ps < 0:
-            ps = pos[s] = len(order)
-            order.append(s)
-        a = d ^ 1
-        pa = pos[a]
-        if pa < 0:
-            pa = pos[a] = len(order)
-            order.append(a)
-        out.append(ps)
-        out.append(pa)
-        if best is not None:
-            b = best[i]
-            if ps != b:
-                if ps > b:
-                    return None
-                best = None  # strictly smaller from here on
-            else:
-                b = best[i + 1]
-                if pa != b:
-                    if pa > b:
-                        return None
-                    best = None
-            i += 2
-    return out, order
-
-
 def partial_prefix(sigma, alpha, root: int, previous=None):
     """The fixed prefix of the BFS code from root of a partial map, whose
     alpha is -1 at unmatched darts, as (code, stop, pos, order).
 
-    The walk is _rooted_ints' with alpha read from the table.  It stops at
-    stop, the first dart in BFS order whose alpha is unset, after that
-    dart's sigma entry (stop is -1 when no dart is unmatched).  Everything
+    This walk defines the BFS code.  It stops at stop, the first dart in
+    BFS order whose alpha is unset, after that dart's sigma entry; all
     before it is read from matched darts only, so the code of every
-    completion from root starts with this prefix.  previous, the result
-    for a map that alpha extends, is resumed at its stop instead of walking
-    again from root; it is not changed.
+    completion from root starts with this prefix.  On a complete map, read
+    with alpha = d ^ 1, stop is -1 and the prefix is the whole code.
+    previous, the result for a map that alpha extends, is resumed at its
+    stop instead of walking again from root; it is not changed.
     """
     if previous is None:
         code = []
@@ -164,7 +130,7 @@ def partial_compare(sigma, alpha, root: int, prefix: list[int], stop: int, walk=
     is resumed where it stopped when it is passed back in then, instead of
     walking again from root; it is copied, not changed, because the
     children of one state share it.  Equal codes of a complete map give
-    (0, -1, None).
+    (0, -1, walk), whose order is root's BFS order.
     """
     if walk is None:
         pos = [-1] * len(alpha)
@@ -204,7 +170,7 @@ def partial_compare(sigma, alpha, root: int, prefix: list[int], stop: int, walk=
             return (-1 if pa < b else 1), -1, None
         i += 2
         k += 1
-    return 0, -1, None
+    return 0, -1, (pos, order, k)
 
 
 def _root_orientations(g: PlaneGraph):
@@ -240,6 +206,7 @@ def _orbit_walk(g: PlaneGraph) -> tuple[list[int], list[int], bool]:
     minimal roots, numbered side * darts + dart (side 1 is the mirror)."""
     orientations = _root_orientations(g)
     nd = len(g.sigma)
+    alpha = [d ^ 1 for d in range(nd)]
     roots = [side * nd + d for side, (_, ds) in enumerate(orientations) for d in ds]
     parent = list(range(2 * nd))  # union-find over roots; a class is an orbit
     walked = [False] * (2 * nd)  # per orbit: holds a walked root
@@ -251,13 +218,18 @@ def _orbit_walk(g: PlaneGraph) -> tuple[list[int], list[int], bool]:
         if walked[top]:
             continue  # its code is the code of a walked root
         walked[top] = True
-        walk = _rooted_ints(orientations[side][0], root, best)
-        if walk is None:
+        sigma = orientations[side][0]
+        if best is None:
+            sign = -1  # the first root is the best so far
+        else:
+            sign, _, walk = partial_compare(sigma, alpha, root, best, -1)
+        if sign > 0:
             continue
-        code, order = walk
-        if code != best:
-            best, best_order, best_x = code, order, x
+        if sign < 0:
+            best, _, _, best_order = partial_prefix(sigma, alpha, root)
+            best_x = x
             continue
+        order = walk[1]
         # a tie: best_order[i] -> order[i] is an automorphism, reversing
         # orientation when the two roots lie on different sides; it joins
         # the orbit of each root with the orbit of its image

@@ -384,6 +384,8 @@ def search_scale_embedding(
     """
     if scale not in (1, 2):
         raise ValueError("scale must be 1 or 2")
+    if m < 0:
+        raise ValueError("m must be at least 0")
     n = g.n_vertices
     dist = all_pairs_distances(g)
     order = [0]

@@ -142,8 +142,10 @@ class GenSpec:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.q not in (3, 4, 5):
-            raise ValueError("q must be 3, 4 or 5")
+        if type(self.q) is not int or self.q not in (3, 4, 5):
+            raise ValueError("q must be the integer 3, 4 or 5")
+        if type(self.n_max) is not int:
+            raise ValueError("n_max must be an integer")
         if self.n_max < 4:
             raise ValueError("n_max too small")
 
@@ -185,7 +187,6 @@ class _Growth:
         self.closing[q] = self.closing[root + q] = 1
         self.closing[6] = 0
         self.fits = [s <= 6 or root < s <= root + q for s in range(2 * root)]
-        self.wide = nd + 1 > 255  # dart positions no longer fit in one byte
 
     # state: (alpha, colors, count_q, low, other, clen, watch, prefix,
     # pending); alpha covers the darts of the used vertices, other and clen
@@ -380,6 +381,7 @@ class _Growth:
         pos = [-1] * len(alpha)
         order = [0]
         pos[0] = 0
+        key = []  # per dart in BFS order: 1 + the positions of its images, 0 if unset
         for dd in order:
             s = nxt[dd]
             if pos[s] < 0:
@@ -389,18 +391,8 @@ class _Growth:
             if a >= 0 and pos[a] < 0:
                 pos[a] = len(order)
                 order.append(a)
-        buf = bytearray()
-        if self.wide:
-            for dd in order:
-                a = alpha[dd]
-                buf += (pos[nxt[dd]] + 1).to_bytes(2, "big")
-                buf += (pos[a] + 1 if a >= 0 else 0).to_bytes(2, "big")
-        else:
-            for dd in order:
-                buf.append(pos[nxt[dd]] + 1)
-                a = alpha[dd]
-                buf.append(pos[a] + 1 if a >= 0 else 0)
-        return bytes(buf)
+            key += (pos[s] + 1, pos[a] + 1 if a >= 0 else 0)
+        return _encode(key)
 
     def finish(self, state) -> PlaneGraph:
         alpha = state[0]

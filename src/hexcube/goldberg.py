@@ -61,7 +61,7 @@ def goldberg_coxeter_cube(k: int, l: int) -> PlaneGraph:
 
     Requires k >= l >= 0 and k >= 1; (k,l) and (l,k) are mirror images.
     """
-    if not (isinstance(k, int) and isinstance(l, int)):
+    if not (type(k) is int and type(l) is int):
         raise ValueError("k and l must be integers")
     if k < 1 or l < 0 or l > k:
         raise ValueError("parameters must satisfy k >= l >= 0 and k >= 1")

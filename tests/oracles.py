@@ -18,15 +18,15 @@
 * ``are_isomorphic`` is an explicit isomorphism search by dart
   propagation, and ``_try_dart_map`` its single-root step; they cross-check
   the canonical codes, the automorphism counts and chirality.
-* ``canonical_form_oracle`` is the canonical walk without orbit pruning:
-  every root that ties the best code runs to the end and is counted, so
-  |Aut| is the number of minimal roots and the map is chiral when they all
-  lie in one orientation.
+* ``canonical_form_oracle`` is the canonical walk without orbit pruning or
+  early abort: every root runs to the end, its whole code is compared with
+  the best, and a tying root is counted, so |Aut| is the number of minimal
+  roots and the map is chiral when they all lie in one orientation.
 """
 
 from __future__ import annotations
 
-from hexcube.canonical import CanonicalForm, _encode, _root_orientations, _rooted_ints
+from hexcube.canonical import CanonicalForm, _encode, _root_orientations, partial_prefix
 from hexcube.plane_graph import MapError, PlaneGraph, is_q6, sigma_inverse
 
 _Q_CAP = {3: 4, 4: 6, 5: 12}
@@ -197,17 +197,16 @@ def are_isomorphic(g: PlaneGraph, h: PlaneGraph, include_reflection: bool = True
 
 
 def canonical_form_oracle(g: PlaneGraph) -> CanonicalForm:
-    """canonical_form by walking every root that ties or beats the best so
-    far to the end, in the same root order."""
+    """canonical_form by walking every root to the end and comparing the
+    whole codes, in the same root order."""
+    alpha = [d ^ 1 for d in range(g.dart_count)]
     best = None
     for side, (table, roots) in enumerate(_root_orientations(g)):
         for root in roots:
-            walk = _rooted_ints(table, root, best)
-            if walk is None:
-                continue
-            if walk[0] == best:
+            code = partial_prefix(table, alpha, root)[0]
+            if code == best:
                 count += 1
                 sides.add(side)
-            else:
-                best, count, sides = walk[0], 1, {side}
+            elif best is None or code < best:
+                best, count, sides = code, 1, {side}
     return CanonicalForm(code=_encode(best), aut_order=count, chiral=len(sides) == 1)

@@ -19,6 +19,7 @@ from hexcube import (
 )
 import hexcube.canonical
 from hexcube.canonical import canonical_root_code
+from hexcube.plane_graph import sigma_inverse
 from oracles import _try_dart_map, are_isomorphic, canonical_form_oracle, enumerate_rotation_maps
 
 # GC(k,l) of the cube with k^2 + kl + l^2 <= 7; GC(2,1) is chiral
@@ -194,15 +195,19 @@ def test_orbit_walk_walks_few_roots_of_a_gc_cube(monkeypatch):
     """Every walked root that ties the best adds an automorphism outside the
     group found so far, so the group at least doubles: a GC cube, whose 48
     roots are all minimal or fall in two orbits, walks at most
-    2 + log2 |Aut| of them."""
-    walks = []
-    rooted_ints = hexcube.canonical._rooted_ints
+    2 + log2 |Aut| of them.  A root that beats the best is walked twice,
+    by partial_compare and partial_prefix, and counted once."""
+    walks = set()  # (rotation table, root)
 
-    def counted(*args):
-        walks.append(args[1])
-        return rooted_ints(*args)
+    def counted(walk):
+        def call(sigma, alpha, root, *rest):
+            walks.add((id(sigma), root))
+            return walk(sigma, alpha, root, *rest)
 
-    monkeypatch.setattr(hexcube.canonical, "_rooted_ints", counted)
+        return call
+
+    for name in ("partial_prefix", "partial_compare"):
+        monkeypatch.setattr(hexcube.canonical, name, counted(getattr(hexcube.canonical, name)))
     for k in range(1, 6):
         for l in range(k + 1):
             if 8 * (k * k + k * l + l * l) > 224:
@@ -210,3 +215,31 @@ def test_orbit_walk_walks_few_roots_of_a_gc_cube(monkeypatch):
             walks.clear()
             form = canonical_form(goldberg_coxeter_cube(k, l))
             assert len(walks) <= 2 + math.ceil(math.log2(form.aut_order)), (k, l)
+
+
+def test_partial_compare_orders_the_codes_of_a_complete_map(symmetry_cases):
+    """On a complete map, read with alpha = d ^ 1, partial_compare of one
+    root against another root's partial_prefix code gives the sign of the
+    comparison of the two codes, and on a tie its BFS order and the other
+    root's, matched position by position, give an automorphism."""
+    for name, g in symmetry_cases.items():
+        nd = g.dart_count
+        alpha = [d ^ 1 for d in range(nd)]
+        for sigma in (list(g.sigma), sigma_inverse(g.sigma)):
+            walks = [hexcube.canonical.partial_prefix(sigma, alpha, r) for r in range(nd)]
+            assert all(stop == -1 and len(code) == 2 * nd for code, stop, _, _ in walks)
+            for best, _, _, best_order in walks:
+                for root, (code, _, _, order) in enumerate(walks):
+                    sign, blocker, walk = hexcube.canonical.partial_compare(
+                        sigma, alpha, root, best, -1
+                    )
+                    assert sign == (code > best) - (code < best), (name, root)
+                    assert blocker == -1
+                    if sign:
+                        continue
+                    assert walk[1] == order
+                    image = [0] * nd
+                    for a, b in zip(best_order, order):
+                        image[a] = b
+                    assert all(image[sigma[d]] == sigma[image[d]] for d in range(nd)), name
+                    assert all(image[d ^ 1] == image[d] ^ 1 for d in range(nd)), name

@@ -44,6 +44,8 @@ COMMANDS = [
     "check --named chamfered_cube --five-gonal full",
     "check --named twisted_chamfered_cube --five-gonal full",
     "check --named truncated_tetrahedron --five-gonal full",
+    # the code of a chiral cube, |Aut| 24, through cli.cmd_gc
+    "gc -k 2 -l 1 --format json",
 ]
 CHECKPOINT_SPECS = [(4, 24)]
 

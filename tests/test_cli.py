@@ -259,9 +259,10 @@ def test_dot_output(capsys):
         ("embed-halfcube", "--named", "cube", "-m", "3", "--budget", "1"),
         ("generate", "-q", "4", "--nmax", "8", "--filter", "no_such"),
         ("check", "--named", "prism(5)", "--five-gonal", "skip"),
+        ("embed-halfcube", "--named", "cube", "-m", "-1"),
     ],
     ids=["check-threads", "zones-budget", "gc-budget", "embed-halfcube-budget", "unknown-filter",
-         "check-five-gonal-skip"],
+         "check-five-gonal-skip", "embed-halfcube-negative-m"],
 )
 def test_removed_or_unknown_options_are_usage_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)

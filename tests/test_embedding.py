@@ -338,6 +338,8 @@ def test_halfcube_search_tetrahedron(named_graphs):
     assert search_halfcube_embedding(g, 2).status == "none"
     with pytest.raises(ValueError):
         search_halfcube_embedding(g, 13)
+    with pytest.raises(ValueError, match="m must be at least 0"):
+        search_halfcube_embedding(g, -1)
 
 
 def test_halfcube_search_icosahedron(named_graphs):

@@ -711,3 +711,11 @@ def test_checkpoint_spec_mismatch(checkpoint):
 def test_spec_validation():
     with pytest.raises(ValueError):
         GenSpec(q=7, n_max=10)
+
+
+@pytest.mark.parametrize("q, n_max", [(4.0, 40), (True, 40), (4, 40.5), (4, "40"), (4, None)])
+def test_spec_requires_integers(q, n_max):
+    """4.0 == 4 and True == 1, but neither indexes the growth's tables as
+    an int does."""
+    with pytest.raises(ValueError):
+        GenSpec(q=q, n_max=n_max)

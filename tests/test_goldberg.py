@@ -93,6 +93,6 @@ def test_larger_achiral_member_not_embeddable_but_clean():
 
 
 def test_invalid_parameters():
-    for k, l in ((0, 0), (1, 2), (-1, 0), (2, -1)):
+    for k, l in ((0, 0), (1, 2), (-1, 0), (2, -1), (True, False), (2.0, 1), (2, "1")):
         with pytest.raises(ValueError):
             goldberg_coxeter_cube(k, l)
