@@ -3,14 +3,15 @@ scale-2 half-cube search.
 
 A connected graph embeds isometrically in a hypercube exactly when it is
 bipartite and its Theta relation is transitive (Djokovic; Winkler).  The
-recognizer checks both, reads the coordinates off the distance matrix and
-verifies them exhaustively, so a returned embedding is always certified.
+recognizer checks both, reads the coordinates off the table of which side
+of each edge each vertex lies on, and verifies them exhaustively, so a
+returned embedding is always certified.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +38,15 @@ class ThetaClasses:
     directly related, as (c, e, f), or None when Theta is transitive.  By
     Winkler's criterion a bipartite graph embeds in a hypercube exactly
     when it is None, and the classes are then the coordinate directions, so
-    the class count equals the embedding dimension.
+    the class count equals the embedding dimension.  ``side`` is the n x E
+    table the relation was read from: side[v, e] is True when v is nearer
+    the second end of edge e than its first.
     """
 
     class_of: tuple[int, ...]
     m: int
     intransitive: tuple[int, int, int] | None
+    side: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -119,29 +123,38 @@ def theta_classes(g: PlaneGraph, dist: np.ndarray | None = None) -> ThetaClasses
     """Edge classes under the transitive closure of the distance relation,
     with the first pair of one class that the relation leaves apart.
 
-    The direct relation is one E x E boolean array over the edge
-    endpoints; classes are its connected components, numbered in order of
-    their first edge.
+    Edges xy and uv are directly related when
+    d(x,u) - d(x,v) != d(y,u) - d(y,v).  The distances from any vertex w
+    to the two ends of an edge uv differ by at most one, and in a
+    bipartite graph they have opposite parity, so d(w,u) - d(w,v) is +1 or
+    -1: it only says on which side of uv the vertex w lies.  Hence xy and
+    uv are related exactly when x and y lie on different sides of uv, and
+    with the n x E table side[w, e] (w nearer the second end of e) the
+    E x E relation is side[x] != side[y] over the ends of the edges.  A
+    graph with an odd cycle has a vertex equidistant from both ends of
+    some edge, where the identity fails, so the graph is checked to be
+    bipartite before the table is read: a connected graph is bipartite
+    iff no edge joins two vertices at the same distance from vertex 0.
+
+    Classes are the connected components of the relation, numbered in
+    order of their first edge.
     """
     if dist is None:
         dist = all_pairs_distances(g)
     ends = np.array(g.vertex_of, dtype=np.intp).reshape(-1, 2)
     x, y = ends[:, 0], ends[:, 1]
-    # a connected graph is bipartite iff no edge joins two vertices at the
-    # same distance from vertex 0
     if (dist[0, x] == dist[0, y]).any():
         raise NonBipartiteError("graph has an odd cycle")
-    related = (
-        dist[x[:, None], x[None, :]] + dist[y[:, None], y[None, :]]
-        != dist[x[:, None], y[None, :]] + dist[y[:, None], x[None, :]]
-    )
-    # least edge of each component: propagate minima along the relation
-    # (every edge is related to itself) and jump through labels until
-    # nothing changes
+    side = dist[:, y] < dist[:, x]
+    related = side[x] != side[y]
+    # least edge of each component: start from each edge's least related
+    # edge (every edge is related to itself), propagate minima along the
+    # relation and jump through labels until nothing changes; the labels
+    # are edge numbers, held in the narrowest dtype that also holds ne
     ne = len(ends)
-    label = np.arange(ne)
+    label = related.argmax(axis=1).astype(np.min_scalar_type(ne))
     while True:
-        low = np.where(related, label[None, :], ne).min(axis=1)
+        low = np.where(related, label, ne).min(axis=1)
         low = low[low]
         if np.array_equal(low, label):
             break
@@ -158,7 +171,10 @@ def theta_classes(g: PlaneGraph, dist: np.ndarray | None = None) -> ThetaClasses
         f = int(np.flatnonzero((class_of == c) & ~related[e])[0])
         intransitive = (c, e, f)
     return ThetaClasses(
-        class_of=tuple(class_of.tolist()), m=len(firsts), intransitive=intransitive
+        class_of=tuple(class_of.tolist()),
+        m=len(firsts),
+        intransitive=intransitive,
+        side=side,
     )
 
 
@@ -173,10 +189,10 @@ def recognize_partial_cube(
     A connected graph is a partial cube iff it is bipartite and its Theta
     relation is transitive (Djokovic 1973, Winkler 1984).  On success
     vertex 0 gets the empty set, and vertex v gets class c when v lies on
-    the other side of c's first edge xy, that is when d(v,y) < d(v,x)
-    differs from vertex 0.  The embedding is verified on all vertex pairs
-    before being returned.  ``dist`` is the distance matrix of ``g`` when
-    the caller already has it.
+    the other side of c's first edge than vertex 0, as read from the side
+    table of ``theta_classes``.  The embedding is verified on all vertex
+    pairs before being returned.  ``dist`` is the distance matrix of ``g``
+    when the caller already has it.
     """
     bip = bipartition(g)
     if not bip:
@@ -193,8 +209,7 @@ def recognize_partial_cube(
             failure=RecognitionFailure(kind="intransitive_pair", detail=theta.intransitive),
         )
     firsts = np.unique(theta.class_of, return_index=True)[1]
-    ends = np.array(g.vertex_of, dtype=np.intp).reshape(-1, 2)[firsts]
-    side = dist[:, ends[:, 1]] < dist[:, ends[:, 0]]
+    side = theta.side[:, firsts]
     bits = side != side[0]
     phi = tuple(frozenset(np.flatnonzero(row).tolist()) for row in bits)
     emb = HypercubeEmbedding(m=theta.m, scale=1, phi=phi)

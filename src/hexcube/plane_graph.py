@@ -292,13 +292,22 @@ def is_q6(g: PlaneGraph, q: int) -> bool:
 
 
 def all_pairs_distances(g: PlaneGraph) -> np.ndarray:
-    """Hop distances between all vertex pairs.
+    """Hop distances between all vertex pairs, by growing every ball at once.
 
-    Runs the BFS from every source at once: row s of the boolean frontier
-    holds the vertices at distance d from s, and a vertex joins the next
-    frontier when one of its neighbours is in the current one.  The
-    neighbour table is padded with the vertex itself, which is already
-    reached whenever it is in a frontier, so mixed degrees need no mask.
+    Row v of the boolean array ``ball`` is the ball of radius d around v.
+    A vertex lies within d + 1 of v exactly when it is v or lies within d
+    of a neighbour of v, so
+
+        ball_{d+1}[v] = ball_d[v] | OR over neighbours w of v of ball_d[w],
+
+    and dist[v, s] is the number of radii d >= 0 at which s is not yet in
+    ball_d[v].  Each step gathers whole contiguous rows, the neighbours'
+    balls; since d(v, s) = d(s, v), row v is at once the distances from v
+    and to v, so the matrix is the same whichever index is the source.
+    The neighbour table is padded with the vertex itself, whose own ball
+    is already in the union, so mixed degrees need no mask.  No distance
+    reaches n, so the count is kept in the narrowest unsigned dtype that
+    holds n and widened to int32 once at the end.
     """
     n = g.n_vertices
     nbrs = g.neighbors
@@ -306,22 +315,15 @@ def all_pairs_distances(g: PlaneGraph) -> np.ndarray:
     table = np.array(
         [ws + (v,) * (width - len(ws)) for v, ws in enumerate(nbrs)], dtype=np.intp
     )
-    dist = np.zeros((n, n), dtype=np.int32)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.copy()
-    d = 0
-    while True:
-        d += 1
-        # gather per neighbour column: nxt[s, v] = any frontier[s, w], w ~ v
-        nxt = frontier[:, table[:, 0]]
+    dist = np.zeros((n, n), dtype=np.min_scalar_type(n))
+    ball = np.eye(n, dtype=bool)
+    while not ball.all():
+        dist += ~ball
+        grown = ball | ball[table[:, 0]]
         for j in range(1, width):
-            nxt |= frontier[:, table[:, j]]
-        nxt &= ~reached
-        if not nxt.any():
-            return dist
-        dist[nxt] = d
-        reached |= nxt
-        frontier = nxt
+            grown |= ball[table[:, j]]
+        ball = grown
+    return dist.astype(np.int32)
 
 
 def bipartition(g: PlaneGraph) -> Bipartition:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hexcube import GenSpec, PlaneGraph, generate_q6, goldberg_coxeter_cube, make_named
+from oracles import relabel
 
 FIVE_EMBEDDABLE = (
     "cube",
@@ -59,6 +62,15 @@ def gc_cubes():
         for l in range(k + 1)
         if 8 * (k * k + k * l + l * l) <= 104
     ]
+
+
+@pytest.fixture(scope="session")
+def large_gc_cubes():
+    """GC(3,3) (n=216) and GC(4,2) (n=224), relabelled by a fixed seed:
+    breadth-first searches twelve levels deep, and a Theta relation on
+    about 330 edges that is not transitive."""
+    rng = random.Random(7)
+    return [relabel(goldberg_coxeter_cube(k, l), rng) for k, l in ((3, 3), (4, 2))]
 
 
 @pytest.fixture(scope="session")

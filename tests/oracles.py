@@ -22,9 +22,14 @@
   early abort: every root runs to the end, its whole code is compared with
   the best, and a tying root is counted, so |Aut| is the number of minimal
   roots and the map is chiral when they all lie in one orientation.
+* ``relabel`` renumbers the vertices of a map by a permutation drawn from
+  a seeded generator, so that a check sees an input whose numbering says
+  nothing of its construction.
 """
 
 from __future__ import annotations
+
+import random
 
 from hexcube.canonical import CanonicalForm, _encode, _root_orientations, partial_prefix
 from hexcube.plane_graph import MapError, PlaneGraph, is_q6, sigma_inverse
@@ -210,3 +215,14 @@ def canonical_form_oracle(g: PlaneGraph) -> CanonicalForm:
             elif best is None or code < best:
                 best, count, sides = code, 1, {side}
     return CanonicalForm(code=_encode(best), aut_order=count, chiral=len(sides) == 1)
+
+
+def relabel(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
+    """The same map with its vertices renumbered by a permutation drawn
+    from rng; each neighbour list keeps its rotation."""
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    rows = [None] * g.n_vertices
+    for v, nbrs in enumerate(g.neighbors):
+        rows[perm[v]] = [perm[w] for w in nbrs]
+    return PlaneGraph.from_rotations(rows)

@@ -3,7 +3,8 @@ in census.json and recomputed here.
 
 For each (q, n_max) it holds the per-n class counts and the sha256 of the
 sorted canonical codes; for each listed command, the sha256 of its stdout;
-and the sha256 of the bytes of a finished run's checkpoint.  The larger
+the sha256 of the bytes of a finished run's checkpoint; and for each input
+in CHECK_INPUTS, the sha256 of the per-graph reports of check_many.  The larger
 sizes in SLOW_SPECS take seconds each and are marked slow, so the default
 run leaves them out; run them before a change to the generator with
 
@@ -19,8 +20,10 @@ and says in CHANGES.md what changed and why.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -28,7 +31,15 @@ from pathlib import Path
 
 import pytest
 
-from hexcube import GenSpec, generate_q6
+from hexcube import (
+    GenSpec,
+    check_many,
+    generate_q6,
+    goldberg_coxeter_cube,
+    read_planar_code,
+    write_planar_code,
+)
+from oracles import relabel
 
 CENSUS = Path(__file__).with_name("census.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +59,25 @@ COMMANDS = [
     "gc -k 2 -l 1 --format json",
 ]
 CHECKPOINT_SPECS = [(4, 24)]
+CHECK_INPUTS = ["gc-cubes-n224", "q6-4-40"]
+
+
+def check_input(name: str) -> list:
+    """The graphs of one CHECK_INPUTS entry: the Goldberg-Coxeter cubes
+    GC(k,l) with n <= 224, relabelled by a fixed seed and read back through
+    planar_code; or every 4_n with n <= 40."""
+    if name == "q6-4-40":
+        return generate_q6(GenSpec(4, 40)).graphs
+    rng = random.Random(1)
+    cubes = [
+        relabel(goldberg_coxeter_cube(k, l), rng)
+        for k in range(1, 6)
+        for l in range(k + 1)
+        if 8 * (k * k + k * l + l * l) <= 224
+    ]
+    buf = io.BytesIO()
+    write_planar_code(cubes, buf)
+    return read_planar_code(io.BytesIO(buf.getvalue()))
 
 
 def generation_entry(q: int, n_max: int) -> dict:
@@ -75,8 +105,15 @@ def checkpoint_sha256(q: int, n_max: int) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def check_sha256(name: str) -> str:
+    reports = check_many(check_input(name), five_gonal="first")
+    lines = (json.dumps(r.to_json(), sort_keys=True) + "\n" for r in reports)
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 def census() -> dict:
     return {
+        "check_sha256": {name: check_sha256(name) for name in CHECK_INPUTS},
         "checkpoint_sha256": {
             f"{q}-{n_max}": checkpoint_sha256(q, n_max) for q, n_max in CHECKPOINT_SPECS
         },
@@ -107,6 +144,11 @@ def test_stdout_matches_the_census(recorded, command):
 @pytest.mark.parametrize("q, n_max", CHECKPOINT_SPECS)
 def test_checkpoint_matches_the_census(recorded, q, n_max):
     assert checkpoint_sha256(q, n_max) == recorded["checkpoint_sha256"][f"{q}-{n_max}"]
+
+
+@pytest.mark.parametrize("name", CHECK_INPUTS)
+def test_check_reports_match_the_census(recorded, name):
+    assert check_sha256(name) == recorded["check_sha256"][name]
 
 
 if __name__ == "__main__":

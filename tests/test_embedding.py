@@ -107,11 +107,11 @@ def theta_classes_oracle(g: PlaneGraph, dist: np.ndarray) -> ThetaClasses:
     return ThetaClasses(class_of=tuple(class_of), m=len(labels), intransitive=intransitive)
 
 
-def test_theta_classes_match_double_loop(named_graphs, gen4_24, gc_cubes):
+def test_theta_classes_match_double_loop(named_graphs, gen4_24, gc_cubes, large_gc_cubes):
     graphs = list(gen4_24.graphs)
     graphs += [g for g in named_graphs.values() if bipartition(g)]
     graphs += [prism(4), prism(8), k23(), subdivided_k4()]
-    graphs += gc_cubes
+    graphs += gc_cubes + large_gc_cubes
     embeddable = []
     for g in graphs:
         dist = all_pairs_distances(g)

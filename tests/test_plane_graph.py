@@ -164,10 +164,11 @@ def networkx_distances(g: PlaneGraph) -> np.ndarray:
     return np.array([[lengths[u][v] for v in range(n)] for u in range(n)])
 
 
-def test_all_pairs_distances_match_networkx(gc_cubes):
-    """The all-sources BFS agrees with networkx on the named graphs, graphs
-    of mixed degree (a star and a path, whose neighbour tables are padded),
-    prisms and the Goldberg-Coxeter cubes up to n=104."""
+def test_all_pairs_distances_match_networkx(gc_cubes, large_gc_cubes):
+    """The ball growth agrees with networkx on the named graphs, graphs of
+    mixed degree (a star and a path, whose neighbour tables are padded),
+    prisms, the Goldberg-Coxeter cubes up to n=104, and GC(3,3) and
+    GC(4,2) relabelled."""
     graphs = [make_named(name) for name in named_graph_names() if "(" not in name]
     graphs += [
         PlaneGraph(sigma=(0, 1), vertex_of=(0, 1)),
@@ -175,7 +176,7 @@ def test_all_pairs_distances_match_networkx(gc_cubes):
         PlaneGraph.from_rotations(PATH3),
     ]
     graphs += [prism(k) for k in range(3, 9)]
-    graphs += gc_cubes
+    graphs += gc_cubes + large_gc_cubes
     for g in graphs:
         dist = all_pairs_distances(g)
         assert dist.dtype == np.int32
